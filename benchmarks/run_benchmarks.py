@@ -24,8 +24,10 @@ profile sharing stays strictly opt-in), the telemetry memory bound, and
 the control-policy gate (the default greedy arm of the cheapest reference
 scenario must reproduce ``policy_baseline.json`` bit for bit, and the
 predictive arm must not regress the fleet mean below greedy on the same
-calendar), skipping the scaling sweeps — the smoke mode CI uses on every
-PR.
+calendar) and the horizon-flatness gate (exactly one drift-walk draw per
+stream-window at 3 and 30 windows; off CI, seconds per window flat within
+1.2x, see ``bench_horizon.py``), skipping the scaling sweeps — the smoke
+mode CI uses on every PR.
 
 Usage::
 
@@ -46,6 +48,7 @@ from bench_policy import (
     load_policy_baseline,
     measure_policy_ab,
 )
+from bench_horizon import check_time_growth, check_walk_draws, seconds_per_window
 from bench_telemetry import check_quick_telemetry_bound, measure_telemetry_scaling
 from fleet_bench_core import (
     BENCH_FLEET_JSON_PATH,
@@ -365,6 +368,17 @@ def main(argv=None) -> int:
         # not regress the fleet mean below greedy on the same calendar.
         print("checking control-policy gate against the committed baseline...")
         failures.extend(check_quick_policy_gate())
+        # Cost per window must not grow with simulated time: the drift walk
+        # draws are counted exactly everywhere, seconds per window off CI.
+        print("checking horizon flatness (drift-walk draws per stream-window)...")
+        failures.extend(check_walk_draws())
+        if compare_raw:
+            per_window = seconds_per_window()
+            print("  " + " | ".join(
+                f"{windows} windows {seconds * 1000:.1f} ms/window"
+                for windows, seconds in per_window.items()
+            ))
+            failures.extend(check_time_growth(per_window))
     else:
         policy_baseline = load_policy_baseline()
         if policy_baseline is None:

@@ -17,7 +17,7 @@ seed, so workloads are exactly reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -147,13 +147,21 @@ class AppearanceDrift:
         self._feature_dim = feature_dim
         self._rng = ensure_rng(seed)
         self._root_seed = int(self._rng.integers(0, 2**31 - 1))
+        # Incremental prefix of the walk ``offsets_for_window`` replays: the
+        # same generator, the same draws, the same additions in the same
+        # order, so every prefix entry is bit-identical to the replay's.
+        self._walk_rng = ensure_rng(self._root_seed)
+        self._prefix: Dict[int, np.ndarray] = {}
 
     @property
     def feature_dim(self) -> int:
         return self._feature_dim
 
     def offsets_for_window(self, window_index: int) -> np.ndarray:
-        """(num_classes, feature_dim) array of cluster-centre offsets."""
+        """(num_classes, feature_dim) array of cluster-centre offsets.
+
+        Replays the walk from window 0: the oracle for the prefix.
+        """
         if window_index < 0:
             raise DatasetError("window_index must be non-negative")
         walk_rng = ensure_rng(self._root_seed)
@@ -164,6 +172,22 @@ class AppearanceDrift:
             )
         return offsets
 
+    def _prefix_offsets(self, window_index: int) -> np.ndarray:
+        """Read-only ``offsets_for_window(window_index)``, one draw per new window."""
+        if window_index < 0:
+            raise DatasetError("window_index must be non-negative")
+        prefix = self._prefix
+        for window in range(len(prefix), window_index + 1):
+            previous = prefix[window - 1] if window else np.zeros(
+                (self._taxonomy.num_classes, self._feature_dim)
+            )
+            offsets = previous + self._walk_rng.normal(
+                0.0, self._profile.appearance_volatility, size=previous.shape
+            )
+            offsets.flags.writeable = False
+            prefix[window] = offsets
+        return prefix[window_index]
+
     def drift_magnitude(self, from_window: int, to_window: int) -> float:
         """Mean per-class displacement between two windows.
 
@@ -172,6 +196,6 @@ class AppearanceDrift:
         retraining (§4: Ekya prioritises the streams whose characteristics
         changed the most).
         """
-        a = self.offsets_for_window(from_window)
-        b = self.offsets_for_window(to_window)
+        a = self._prefix_offsets(from_window)
+        b = self._prefix_offsets(to_window)
         return float(np.mean(np.linalg.norm(b - a, axis=1)))

@@ -111,6 +111,11 @@ class StreamDynamics(abc.ABC):
         """
 
 
+def _check_window(window_index: int) -> None:
+    if window_index < 0:
+        raise SimulationError(f"window_index must be non-negative, got {window_index}")
+
+
 class AnalyticDynamics(StreamDynamics):
     """Deterministic drift-driven accuracy model (the simulator's 'trace')."""
 
@@ -135,14 +140,30 @@ class AnalyticDynamics(StreamDynamics):
         self._initial_staleness = initial_staleness_windows
         self._seed = seed
         self._states: Dict[str, StreamState] = {}
+        # Per-stream memo of ``_ceiling`` and ``start_accuracy`` values keyed
+        # ``(kind, window)``.  Both are pure functions of the seed and the
+        # stream's serving state, so a stream's memo is dropped exactly when
+        # that state changes (a retraining commit, invalidation, reset).
+        self._memo: Dict[str, Dict[Tuple[str, int], float]] = {}
 
     # ------------------------------------------------------------ internals
+    def _stream_memo(self, stream: VideoStream) -> Dict[Tuple[str, int], float]:
+        memo = self._memo.get(stream.name)
+        if memo is None:
+            memo = self._memo[stream.name] = {}
+        return memo
+
     def _ceiling(self, stream: VideoStream, window_index: int) -> float:
         """Best accuracy any retraining can reach on this window's content."""
-        rng = ensure_rng(stable_seed("ceiling", stream.name, window_index, base=self._seed))
-        wobble = rng.uniform(-self._ceiling_spread, self._ceiling_spread)
-        golden_noise = stream.golden_model.error_rate
-        return clamp(self._ceiling_base + wobble - golden_noise, 0.3, 0.99)
+        memo = self._stream_memo(stream)
+        key = ("ceiling", window_index)
+        ceiling = memo.get(key)
+        if ceiling is None:
+            rng = ensure_rng(stable_seed("ceiling", stream.name, window_index, base=self._seed))
+            wobble = rng.uniform(-self._ceiling_spread, self._ceiling_spread)
+            golden_noise = stream.golden_model.error_rate
+            ceiling = memo[key] = clamp(self._ceiling_base + wobble - golden_noise, 0.3, 0.99)
+        return ceiling
 
     def _state(self, stream: VideoStream) -> StreamState:
         state = self._states.get(stream.name)
@@ -173,15 +194,22 @@ class AnalyticDynamics(StreamDynamics):
 
     # ------------------------------------------------------------- interface
     def start_accuracy(self, stream: VideoStream, window_index: int) -> float:
-        state = self._state(stream)
-        return self._decay(
-            stream, state.trained_on_window if state.trained_on_window is not None else 0,
-            window_index, state.accuracy_when_trained,
-        )
+        _check_window(window_index)
+        memo = self._stream_memo(stream)
+        key = ("start", window_index)
+        accuracy = memo.get(key)
+        if accuracy is None:
+            state = self._state(stream)
+            accuracy = memo[key] = self._decay(
+                stream, state.trained_on_window if state.trained_on_window is not None else 0,
+                window_index, state.accuracy_when_trained,
+            )
+        return accuracy
 
     def candidate_post_accuracy(
         self, stream: VideoStream, window_index: int, config: RetrainingConfig
     ) -> float:
+        _check_window(window_index)
         ceiling = self._ceiling(stream, window_index)
         quality = config_quality(config)
         accuracy = ceiling * (0.70 + 0.30 * quality)
@@ -219,19 +247,27 @@ class AnalyticDynamics(StreamDynamics):
         window_index: int,
         config: Optional[RetrainingConfig],
     ) -> None:
+        _check_window(window_index)
         state = self._state(stream)
         if config is not None:
+            # Dropped on both sides: the committed accuracy is computed
+            # against the half-updated state (docs/architecture.md), not
+            # planning-time values, and what it memoises dies with that state.
+            self._memo.pop(stream.name, None)
             state.trained_on_window = window_index
             state.accuracy_when_trained = self.candidate_post_accuracy(stream, window_index, config)
+            self._memo.pop(stream.name, None)
 
     def reset(self) -> None:
         self._states.clear()
+        self._memo.clear()
 
     def invalidate_stream(self, stream_name: str) -> None:
         # The next query re-initialises the state at pre-deployment
         # staleness (trained before the experiment started), which is
         # exactly what "the checkpoint never arrived" means here.
         self._states.pop(stream_name, None)
+        self._memo.pop(stream_name, None)
 
 
 class SubstrateDynamics(StreamDynamics):

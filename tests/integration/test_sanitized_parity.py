@@ -10,6 +10,11 @@ Two properties, both acceptance gates for the determinism analyzer:
   to commit per-stream state while planning raises
   :class:`~repro.exceptions.PurityViolationError` from inside the fleet
   event loop, naming the guarded call.
+
+A long sanitized chaos run covers the path the short ones never reach: a
+predictive migration whose departure cancels an in-flight retraining
+settles ``commit_window(stream, w, None)`` *inside* the guarded control
+scan, so an idle commit must leave every cache it touches shape-stable.
 """
 
 import json
@@ -26,6 +31,7 @@ from repro.fleet import (
     WanDegradation,
     make_fleet,
 )
+from repro.fleet.chaos import ChaosInjector, check_invariants
 from repro.profiles import AnalyticDynamics
 from repro.utils.clock import ManualClock
 
@@ -99,6 +105,45 @@ class TestSanitizedGoldenParity:
         )
         result = FleetSimulator(controller, golden_scenario(), clock=clock).run(5)
         assert len(result.windows) == 5
+
+
+CHAOS_WINDOWS = 12
+
+
+def run_chaos_fleet(seed, *, sanitize):
+    """The ``chaos_fleet`` shape of the end-to-end benchmark."""
+    injector = ChaosInjector(seed, intensity=1.5)
+    clock = ManualClock()
+    controller = make_fleet(
+        6, 12, gpus_per_site=4, preemptive_sites=True, profile_sharing=True,
+        wan_faults=injector.wan_faults(), control_policy="predictive", seed=seed,
+        clock=clock, sanitize=sanitize,
+    )
+    scenario = injector.compile(
+        [site.name for site in controller.sites],
+        window_duration=controller.window_duration,
+        num_windows=CHAOS_WINDOWS,
+        gpus_per_site=4,
+    )
+    initial_streams = controller.num_streams
+    simulator = FleetSimulator(controller, scenario, control_interval=50.0, clock=clock)
+    return controller, simulator.run(CHAOS_WINDOWS), initial_streams
+
+
+class TestSanitizedLongChaosRun:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_twelve_chaos_windows_run_clean_and_match_the_unsanitized_run(self, seed):
+        controller, result, initial_streams = run_chaos_fleet(seed, sanitize=True)
+        _, reference, _ = run_chaos_fleet(seed, sanitize=False)
+
+        assert len(result.windows) == CHAOS_WINDOWS
+        assert check_invariants(controller, result, initial_streams=initial_streams) == []
+        assert result.mean_accuracy == reference.mean_accuracy
+        summary = result.summary()
+        # The run reached the cancel-on-departure path under guarded scans.
+        assert summary["migrations_by_reason"].get("predictive", 0) > 0
+        assert summary["retrainings_cancelled"] > 0
+        assert controller._sanitizer.checks > 0
 
 
 class LeakyDynamics(AnalyticDynamics):

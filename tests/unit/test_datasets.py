@@ -123,6 +123,29 @@ class TestAppearanceDrift:
         drift = AppearanceDrift(ClassTaxonomy(), DriftProfile(), feature_dim=8, seed=1)
         assert np.allclose(drift.offsets_for_window(4), drift.offsets_for_window(4))
 
+    def test_drift_magnitude_walks_one_step_per_new_window(self):
+        drift = AppearanceDrift(ClassTaxonomy(), DriftProfile(), feature_dim=8, seed=1)
+        draws = []
+        walk_rng = drift._walk_rng
+
+        class CountingRng:
+            def normal(self, *args, **kwargs):
+                draws.append(1)
+                return walk_rng.normal(*args, **kwargs)
+
+        drift._walk_rng = CountingRng()
+        for from_window, to_window in [(0, 5), (2, 3), (5, 5), (1, 7), (7, 0)]:
+            drift.drift_magnitude(from_window, to_window)
+        assert len(draws) == 8  # windows 0..7, each drawn once
+
+    def test_negative_window_is_rejected_without_walking(self):
+        drift = AppearanceDrift(ClassTaxonomy(), DriftProfile(), feature_dim=8, seed=1)
+        drift.drift_magnitude(0, 2)
+        for from_window, to_window in [(-1, 2), (0, -5)]:
+            with pytest.raises(DatasetError):
+                drift.drift_magnitude(from_window, to_window)
+        assert sorted(drift._prefix) == [0, 1, 2]
+
 
 class TestFeatureSynthesizer:
     def test_sample_shapes(self):

@@ -333,6 +333,68 @@ class TestAnalyticDynamics:
         with pytest.raises(SimulationError):
             AnalyticDynamics(accuracy_floor=0.95, ceiling_base=0.9)
 
+    @pytest.mark.parametrize("window", [-1, -5])
+    @pytest.mark.parametrize(
+        "method, config",
+        [
+            ("start_accuracy", None),
+            ("candidate_post_accuracy", RetrainingConfig(epochs=5)),
+            ("commit_window", RetrainingConfig(epochs=5)),
+            ("commit_window", None),
+        ],
+        ids=["start_accuracy", "candidate_post_accuracy", "commit_retrained", "commit_idle"],
+    )
+    def test_negative_window_is_rejected(self, small_stream, method, config, window):
+        from repro.exceptions import SimulationError
+
+        dynamics = AnalyticDynamics(seed=1)
+        before = dynamics.start_accuracy(small_stream, 2)
+        args = (small_stream, window) + (() if method == "start_accuracy" else (config,))
+        with pytest.raises(SimulationError, match="non-negative"):
+            getattr(dynamics, method)(*args)
+        assert all(key[1] >= 0 for memo in dynamics._memo.values() for key in memo)
+        assert dynamics.start_accuracy(small_stream, 2) == before
+
+    def test_memo_is_kept_by_idle_commits_and_dropped_by_retraining(self, small_stream):
+        # The purity sanitizer relies on this shape: a commit without a
+        # config (settled inside a guarded control scan) deletes nothing.
+        dynamics = AnalyticDynamics(seed=1)
+        dynamics.start_accuracy(small_stream, 3)
+        memo = dict(dynamics._memo[small_stream.name])
+        dynamics.commit_window(small_stream, 3, None)
+        assert dynamics._memo[small_stream.name] == memo
+        dynamics.commit_window(small_stream, 3, RetrainingConfig(epochs=30))
+        assert small_stream.name not in dynamics._memo
+        dynamics.start_accuracy(small_stream, 4)
+        dynamics.invalidate_stream(small_stream.name)
+        assert small_stream.name not in dynamics._memo
+
+    def test_commit_floors_on_the_undecayed_accuracy(self, small_stream):
+        """Known divergence between planned and committed accuracy.
+
+        ``commit_window`` moves ``trained_on_window`` to the commit window
+        before computing the committed accuracy, so the warm-start floor
+        inside it sees the deployed model's undecayed accuracy, not the
+        decayed start the planner saw.  A cheap configuration therefore
+        commits a higher accuracy than was planned (see
+        docs/architecture.md).  The values are pinned: changing them
+        changes every fleet accuracy and the golden fixture.
+        """
+        dynamics = AnalyticDynamics(seed=1)
+        cheap = RetrainingConfig(epochs=5, data_fraction=0.2, layers_trained_fraction=0.1)
+        deployed = dynamics._state(small_stream).accuracy_when_trained
+        start = dynamics.start_accuracy(small_stream, 0)
+        planned = dynamics.candidate_post_accuracy(small_stream, 0, cheap)
+        dynamics.commit_window(small_stream, 0, cheap)
+        committed = dynamics.start_accuracy(small_stream, 0)
+
+        assert deployed == 0.8092581551655834
+        assert start == 0.7612581551655834
+        assert planned == 0.7412581551655834  # floor: decayed start - 0.02
+        assert committed == 0.7892581551655834  # floor: undecayed accuracy - 0.02
+        assert planned == start - 0.02
+        assert committed == deployed - 0.02
+
 
 class TestSubstrateDynamics:
     @pytest.fixture()
