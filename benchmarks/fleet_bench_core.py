@@ -101,60 +101,6 @@ def measure_fleet_scaling(site_counts: Sequence[int] = SITE_COUNTS) -> List[Dict
     return rows
 
 
-def measure_batched_fleet_planning(
-    site_counts: Sequence[int] = (1, 4, 16),
-) -> Dict:
-    """Per-site planning cost with cohort batching on vs the scalar path.
-
-    Every site's ``WindowBoundary`` fires at the same instant in this sweep,
-    so with ``make_fleet(batched_planning=True)`` the whole fleet plans in
-    one stacked solve per cycle.  The point being demonstrated: the mean
-    planning cost *per site-window* stays roughly flat as the cohort widens,
-    where the scalar path pays per-site numpy dispatch overhead at every
-    site.  Also checks that the deterministic summary fields stay
-    bit-identical between the two paths (``summaries_identical``).
-    """
-    rows = []
-    for num_sites in site_counts:
-        per_path = {}
-        summaries = {}
-        for batched in (False, True):
-            controller = make_fleet(
-                num_sites,
-                STREAMS_PER_SITE,
-                gpus_per_site=GPUS_PER_SITE,
-                seed=SEED,
-                batched_planning=batched,
-            )
-            result = FleetSimulator(controller).run(NUM_WINDOWS)
-            planning = 0.0
-            site_windows = 0
-            for window in result.windows:
-                for site_result in window.site_results.values():
-                    planning += site_result.schedule.scheduler_runtime_seconds
-                    site_windows += 1
-            per_path[batched] = planning / max(1, site_windows)
-            summaries[batched] = result.summary()
-        identical = all(
-            summaries[False][field] == summaries[True][field]
-            for field in QUICK_PARITY_FIELDS
-        )
-        rows.append(
-            {
-                "num_sites": num_sites,
-                "num_streams": num_sites * STREAMS_PER_SITE,
-                "num_windows": NUM_WINDOWS,
-                "scalar_per_site_planning_seconds": per_path[False],
-                "batched_per_site_planning_seconds": per_path[True],
-                "planning_speedup": (
-                    per_path[False] / per_path[True] if per_path[True] else 0.0
-                ),
-                "summaries_identical": identical,
-            }
-        )
-    return {"rows": rows}
-
-
 def failure_scenario() -> Scenario:
     """The documented chaos run: burst, failure + recovery, WAN degradation."""
     return Scenario(
@@ -289,7 +235,6 @@ def emit_fleet_bench_json(
     profile_sharing: Optional[Dict] = None,
     telemetry: Optional[Dict] = None,
     policy: Optional[Dict] = None,
-    batched_planning: Optional[Dict] = None,
 ) -> Path:
     """Append one timestamped entry to the ``BENCH_fleet.json`` trajectory."""
     entry: Dict = {"scaling": scaling}
@@ -299,8 +244,6 @@ def emit_fleet_bench_json(
         entry["heterogeneous"] = heterogeneous
     if profile_sharing is not None:
         entry["profile_sharing"] = profile_sharing
-    if batched_planning is not None:
-        entry["batched_planning"] = batched_planning
     if telemetry is not None:
         entry["telemetry"] = telemetry
     if policy is not None:

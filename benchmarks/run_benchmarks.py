@@ -24,10 +24,12 @@ profile sharing stays strictly opt-in), the telemetry memory bound, and
 the control-policy gate (the default greedy arm of the cheapest reference
 scenario must reproduce ``policy_baseline.json`` bit for bit, and the
 predictive arm must not regress the fleet mean below greedy on the same
-calendar) and the horizon-flatness gate (exactly one drift-walk draw per
+calendar), the horizon-flatness gate (exactly one drift-walk draw per
 stream-window at 3 and 30 windows; off CI, seconds per window flat within
-1.2x, see ``bench_horizon.py``), skipping the scaling sweeps — the smoke
-mode CI uses on every PR.
+1.2x, see ``bench_horizon.py``) and the work-counter gate (the end-to-end
+workloads' exact ledger counters over 3 windows against
+``counters_baseline.json``, see ``bench_counters.py``), skipping the
+scaling sweeps — the smoke mode CI uses on every PR.
 
 Usage::
 
@@ -48,6 +50,7 @@ from bench_policy import (
     load_policy_baseline,
     measure_policy_ab,
 )
+from bench_counters import check_counters
 from bench_horizon import check_time_growth, check_walk_draws, seconds_per_window
 from bench_telemetry import check_quick_telemetry_bound, measure_telemetry_scaling
 from fleet_bench_core import (
@@ -57,7 +60,6 @@ from fleet_bench_core import (
     check_quick_fleet_parity,
     emit_fleet_bench_json,
     load_fleet_baseline,
-    measure_batched_fleet_planning,
     measure_failure_scenario,
     measure_fleet_scaling,
     measure_heterogeneous_fleet,
@@ -304,16 +306,6 @@ def main(argv=None) -> int:
             f"  predictive wins {policy['predictive_wins']} of "
             f"{policy['num_scenarios']} scenarios"
         )
-        print("measuring fleet cohort planning (batched on/off, 1 -> 16 sites)...")
-        batched_fleet = measure_batched_fleet_planning()
-        for row in batched_fleet["rows"]:
-            print(
-                f"  {row['num_sites']:3d} sites: per-site planning "
-                f"{row['scalar_per_site_planning_seconds'] * 1000:6.1f} -> "
-                f"{row['batched_per_site_planning_seconds'] * 1000:6.1f} ms | "
-                f"speedup {row['planning_speedup']:.2f}x | "
-                f"identical {row['summaries_identical']}"
-            )
         fleet_path = emit_fleet_bench_json(
             fleet_scaling,
             scenario,
@@ -322,7 +314,6 @@ def main(argv=None) -> int:
             profile_sharing=sharing,
             telemetry=telemetry,
             policy=policy,
-            batched_planning=batched_fleet,
         )
         print(f"fleet trajectory appended to {fleet_path}")
 
@@ -379,6 +370,10 @@ def main(argv=None) -> int:
                 for windows, seconds in per_window.items()
             ))
             failures.extend(check_time_growth(per_window))
+        # Same decisions, same work: the end-to-end workloads' ledger
+        # counters must match the committed baseline exactly.
+        print("checking work counters of the end-to-end workloads (exact)...")
+        failures.extend(check_counters())
     else:
         policy_baseline = load_policy_baseline()
         if policy_baseline is None:

@@ -3,13 +3,13 @@
 :mod:`repro.core.candidate_table` vectorised Algorithm 2 *within* one stream:
 a lattice column — every retraining level at one inference level — is a single
 masked argmax.  This module batches *across* streams (and, at the fleet layer,
-across every site whose ``WindowBoundary`` fires at the same instant): all
-pending columns are stacked into one numpy evaluation over
+across every site whose ``WindowBoundary`` fires at the same instant): pending
+columns are stacked into numpy evaluations over
 ``(row, retraining_level, retraining_config)`` tensors, where a *row* is one
-``(site, stream, inference_level)`` triple.  Per-row scalars (window length,
-a_min, quantum, lattice size) broadcast elementwise, so heterogeneous sites —
-different GPU counts, degraded capacity, different window durations — stack
-into the same call.
+``(site, stream, inference_level)`` triple, :data:`ROW_BLOCK` rows at a time.
+Per-row scalars (window length, a_min, quantum, lattice size) broadcast
+elementwise, so heterogeneous sites — different GPU counts, degraded
+capacity, different window durations — stack into the same block.
 
 Correctness contract: the scalar path (:class:`~repro.core.thief.
 ThiefScheduler` over per-stream :class:`~repro.core.candidate_table.
@@ -92,40 +92,20 @@ class _HeavyRow:
         self.num_configs = num_configs
 
 
-class _ScratchPool:
-    """Reusable backing buffers for the stacked ``(row, level, config)`` math.
-
-    A 100-stream cohort call builds a dozen ~1 MiB tensors; allocating them
-    fresh on every call makes page faults, not arithmetic, the dominant cost
-    (4 cohort calls per schedule → ~50 MiB of first-touch traffic).  Each
-    named slot hands back a view over a grow-only flat buffer instead, so
-    repeat calls run entirely on warm pages.  The pool only ever changes
-    *where* a temporary lives, never its value, so bit-identity with the
-    scalar oracle is untouched.  The planner runs on the single-threaded
-    event loop; the pool is not thread-safe by design.
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self) -> None:
-        self._buffers: Dict[str, np.ndarray] = {}
-
-    def take(self, tag: str, shape: Tuple[int, ...], dtype: type) -> np.ndarray:
-        size = 1
-        for dim in shape:
-            size *= dim
-        buffer = self._buffers.get(tag)
-        if buffer is None or buffer.size < size or buffer.dtype != dtype:
-            buffer = np.empty(max(size, 1), dtype=dtype)
-            self._buffers[tag] = buffer
-        return buffer[:size].reshape(shape)
-
-
-_SCRATCH = _ScratchPool()
+#: Rows per stacked evaluation.  Every stacked op is elementwise per row or
+#: reduces along the config axis, so splitting a batch into blocks cannot
+#: change a bit; it bounds the ``(row, level, config)`` working set.  A
+#: 150-stream site on 24 GPUs at a 0.1 quantum stacks 240 levels x 12
+#: configs per row.  Measured on that shape (the end-to-end ``dense_sites``
+#: workload, 2-core host): peak RSS 117 MiB unbounded, 103-105 MiB at 32
+#: rows, 102 at 16 and 101-102 at 4-8, against 99-100 for the scalar thief;
+#: 16 rows planned fastest (28 ms per 100-stream schedule, 30-36 ms at 4,
+#: 8 and 32 rows).
+ROW_BLOCK = 16
 
 
 def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
-    """Seed many tables' lattice columns from one stacked evaluation.
+    """Seed many tables' lattice columns from stacked evaluations.
 
     Each ``(table, inference_units)`` pair gets exactly the :class:`_Column`
     that ``table._compute_column(inference_units)`` would produce — the
@@ -133,6 +113,7 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
     table's memo.  Pairs whose column is already memoised are skipped, and
     ``table.evaluations`` is *not* touched: the batched scheduler counts
     queries itself, so the counter keeps the oracle's first-query semantics.
+    Rows are evaluated :data:`ROW_BLOCK` at a time.
     """
     pending: List[Tuple[CandidateTable, int]] = []
     seen = set()
@@ -148,9 +129,12 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
                 f"inference_units {units} outside lattice [0, {table._total_units}]"
             )
         pending.append((table, units))
-    if not pending:
-        return
+    for start in range(0, len(pending), ROW_BLOCK):
+        _compute_block(pending[start : start + ROW_BLOCK])
 
+
+def _compute_block(pending: Sequence[Tuple[CandidateTable, int]]) -> None:
+    """Write the columns of at most :data:`ROW_BLOCK` pending rows."""
     # ---- inference-config pick, stacked (twin of _pick_inference_index).
     # Padding: demands +inf (never fits, never argmin), factors -inf (never
     # argmax), above_min False — padded slots can never win a tie-break.
@@ -262,13 +246,8 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
     # estimate's non-completing fallback branch never needs materialising.
     windows3 = windows[:, None, None]
     acc_during3 = accuracy_during_col[:, None, None]
-    shape3 = (num_heavy, max_levels, max_configs)
-    duration = np.divide(
-        gpu_seconds[:, None, :],
-        retraining_gpus[:, :, None],
-        out=_SCRATCH.take("duration", shape3, float),
-    )
-    completes = np.less(duration, windows3, out=_SCRATCH.take("completes", shape3, bool))
+    duration = gpu_seconds[:, None, :] / retraining_gpus[:, :, None]
+    completes = duration < windows3
     completes &= (gpu_seconds > 0)[:, None, :]
     if varying:
         factor_after = np.empty((num_heavy, max_levels), dtype=float)
@@ -283,11 +262,7 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
                 factor_after[row, level] = table._effective_factor(
                     index, float(post_gpus[level])
                 )
-        accuracy_after = np.multiply(
-            post[:, None, :],
-            factor_after[:, :, None],
-            out=_SCRATCH.take("accuracy_after", shape3, float),
-        )
+        accuracy_after = post[:, None, :] * factor_after[:, :, None]
         np.maximum(accuracy_after, 0.0, out=accuracy_after)
         np.minimum(accuracy_after, 1.0, out=accuracy_after)
         tail_after = accuracy_after
@@ -299,23 +274,15 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
         tail_after = accuracy_after2[:, None, :]
     # ``windows3 - duration`` feeds both the weighted tail and total_time in
     # the scalar estimate; computing it once reuses identical bits.
-    window_remainder = np.subtract(
-        windows3, duration, out=_SCRATCH.take("window_remainder", shape3, float)
-    )
-    weighted = np.multiply(
-        duration, acc_during3, out=_SCRATCH.take("weighted", shape3, float)
-    )
-    weighted += np.multiply(
-        window_remainder, tail_after, out=_SCRATCH.take("tail", shape3, float)
-    )
+    window_remainder = windows3 - duration
+    weighted = duration * acc_during3
+    weighted += window_remainder * tail_after
     total_time = np.add(duration, window_remainder, out=window_remainder)
     average = np.divide(weighted, total_time, out=weighted)
     if accuracy_after is not None:
         minimum = np.minimum(acc_during3, accuracy_after, out=accuracy_after)
         minimum += 1e-9
-        meets3: Optional[np.ndarray] = np.greater_equal(
-            minimum, a_mins[:, None, None], out=_SCRATCH.take("meets", shape3, bool)
-        )
+        meets3: Optional[np.ndarray] = minimum >= a_mins[:, None, None]
         meets2: Optional[np.ndarray] = None
     else:
         minimum2 = np.minimum(accuracy_during_col[:, None], accuracy_after2, out=accuracy_after2)
@@ -339,43 +306,18 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
     # through to the reference scan.
     fast = np.nonzero(base_meets_col)[0]
     if fast.size:
-        if fast.size == num_heavy:
-            # All rows take the fast path (the common cohort shape): skip
-            # the fancy-index copies and mask eligibility in scratch —
-            # value-identical to np.where over the fast subset.
-            if meets3 is not None:
-                eligible = np.logical_and(
-                    completes, meets3, out=_SCRATCH.take("eligible", shape3, bool)
-                )
-            else:
-                eligible = np.logical_and(
-                    completes,
-                    meets2[:, None, :],
-                    out=_SCRATCH.take("eligible", shape3, bool),
-                )
-            masked = _SCRATCH.take("masked", shape3, float)
-            masked.fill(-np.inf)
-            np.copyto(masked, average, where=eligible)
-            acc_fast = accuracy_during_col
-            valid_fast = level_valid
-        else:
-            meets_fast = meets3[fast] if meets3 is not None else meets2[fast][:, None, :]
-            masked = np.where(completes[fast] & meets_fast, average[fast], -np.inf)
-            acc_fast = accuracy_during_col[fast]
-            valid_fast = level_valid[fast]
+        # Usually every row is fast; a plain slice then views the block
+        # instead of copying it through a fancy index.
+        fast_rows = slice(None) if fast.size == num_heavy else fast
+        meets_fast = meets3[fast_rows] if meets3 is not None else meets2[fast_rows][:, None, :]
+        masked = np.where(completes[fast_rows] & meets_fast, average[fast_rows], -np.inf)
+        acc_fast = accuracy_during_col[fast_rows]
+        valid_fast = level_valid[fast_rows]
         best_j = np.argmax(masked, axis=2)
         best_vals = np.take_along_axis(masked, best_j[:, :, None], axis=2)[:, :, 0]
         has_eligible = best_vals > -np.inf
-        ties = np.greater_equal(
-            masked,
-            (best_vals - _IMPROVEMENT_EPS)[:, :, None],
-            out=_SCRATCH.take("ties", masked.shape, bool),
-        )
-        ties &= np.not_equal(
-            masked,
-            best_vals[:, :, None],
-            out=_SCRATCH.take("tie_not_equal", masked.shape, bool),
-        )
+        ties = masked >= (best_vals - _IMPROVEMENT_EPS)[:, :, None]
+        ties &= masked != best_vals[:, :, None]
         near_tie = ties.any(axis=2)
         accept = (
             valid_fast
@@ -383,9 +325,9 @@ def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
             & ~near_tie
             & (best_vals > acc_fast[:, None] + _IMPROVEMENT_EPS)
         )
-        result_choice[fast] = np.where(accept, best_j, np.int64(-1))
-        result_accuracy[fast] = np.where(accept, best_vals, acc_fast[:, None])
-        scan[fast] = valid_fast & has_eligible & near_tie
+        result_choice[fast_rows] = np.where(accept, best_j, np.int64(-1))
+        result_accuracy[fast_rows] = np.where(accept, best_vals, acc_fast[:, None])
+        scan[fast_rows] = valid_fast & has_eligible & near_tie
 
     # Every remaining level runs the reference candidate scan — the
     # _sequential_select automaton — elementwise across all scan elements,
@@ -467,12 +409,13 @@ class BatchedThiefScheduler(ThiefScheduler):
     Bit-identical to :class:`~repro.core.thief.ThiefScheduler` — same steal
     trajectory, same decisions, accuracies and counters — but every lattice
     column the trajectory misses is computed for *all* streams of the cohort
-    in one stacked numpy call (:func:`compute_columns_batched`), and the
+    in stacked numpy blocks (:func:`compute_columns_batched`), and the
     steal loop itself runs on flat integer lists instead of the allocation
     vector's dict operations.  :meth:`schedule_cohort` extends the batch
     across many requests: all same-instant sites' fair-start columns stack
-    into a single ``(site, stream, level, config)`` evaluation before the
-    per-site sweeps run.
+    into one blocked ``(site, stream, level, config)`` evaluation before the
+    per-site sweeps run.  It is the only scheduler the fleet plans with;
+    :class:`~repro.core.thief.ThiefScheduler` stays as its test oracle.
 
     ``scheduler_runtime_seconds`` attributes the shared cohort precompute
     evenly across the cohort's requests; with a

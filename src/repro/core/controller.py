@@ -11,11 +11,15 @@ Figure 8:
   micro-profiled estimates.
 * ``fixed_retraining_config`` (Ekya-FixedConfig) keeps the thief scheduler's
   adaptive allocation but always retrains with one fixed configuration.
+
+The thief runs as :class:`~repro.core.batched_planner.BatchedThiefScheduler`,
+which is bit-identical to the scalar :class:`~repro.core.thief.ThiefScheduler`
+(the property suite's oracle) and solves many requests in one call.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..cluster.edge_server import EdgeServerSpec
 from ..cluster.jobs import inference_job_id, retraining_job_id
@@ -29,7 +33,6 @@ from .batched_planner import BatchedThiefScheduler
 from .microprofiler import ProfileSource
 from .pick_configs import pick_configs
 from .policy import ProfiledPolicy
-from .thief import ThiefScheduler
 from .types import ScheduleRequest, WindowSchedule
 
 
@@ -47,19 +50,12 @@ class EkyaPolicy(ProfiledPolicy):
         fixed_retraining_config: Optional[RetrainingConfig] = None,
         name: Optional[str] = None,
         clock: Optional[Clock] = None,
-        batched_planning: bool = False,
     ) -> None:
         super().__init__(profile_source, config_space)
         if not 0.0 < inference_share_when_fixed < 1.0:
             raise SchedulingError("inference_share_when_fixed must be in (0, 1)")
-        if batched_planning and fixed_resources:
-            # Fixed-resource ablation never runs the thief, so the batched
-            # scheduler would be a silently dead flag.
-            raise SchedulingError("batched_planning is incompatible with fixed_resources")
         self._clock = clock
-        scheduler_cls = BatchedThiefScheduler if batched_planning else ThiefScheduler
-        self._scheduler = scheduler_cls(steal_quantum=steal_quantum, clock=clock)
-        self._batched_planning = batched_planning
+        self._scheduler = BatchedThiefScheduler(steal_quantum=steal_quantum, clock=clock)
         self._fixed_resources = fixed_resources
         self._inference_share = inference_share_when_fixed
         self._fixed_config = fixed_retraining_config
@@ -74,18 +70,8 @@ class EkyaPolicy(ProfiledPolicy):
 
     # ------------------------------------------------------------- interface
     @property
-    def batched_planning(self) -> bool:
-        return self._batched_planning
-
-    @property
-    def scheduler(self) -> ThiefScheduler:
-        """The thief scheduler instance planning this policy's windows.
-
-        With ``batched_planning=True`` this is a
-        :class:`~repro.core.batched_planner.BatchedThiefScheduler`, whose
-        ``schedule_cohort`` the fleet event loop feeds whole same-instant
-        boundary cohorts (requests built via :meth:`prepare_request`).
-        """
+    def scheduler(self) -> BatchedThiefScheduler:
+        """The thief scheduler instance planning this policy's windows."""
         return self._scheduler
 
     def prepare_request(
@@ -99,12 +85,29 @@ class EkyaPolicy(ProfiledPolicy):
         The profiling half of :meth:`plan_window`: all profile-source side
         effects (micro-profiling cost, estimator-error draws) happen here,
         in call order, so a fleet that batches many sites' *solves* into one
-        call still profiles site by site exactly as the scalar path does.
+        call still profiles site by site, in boundary order.
         """
         request = self.build_request(streams, window_index, spec)
         if self._fixed_config is not None:
             request = self._restrict_to_fixed_config(request)
         return request
+
+    def solve_cohort(
+        self, requests: Mapping[str, ScheduleRequest]
+    ) -> Dict[str, WindowSchedule]:
+        """Solve prepared requests, keyed as given, in one scheduler call.
+
+        The fleet event loop hands it every site planning at one instant;
+        :meth:`plan_window` hands it a cohort of one.  Solving commits
+        nothing, so batching many sites' solves changes no decision.  The
+        fixed-resources ablation keeps its static split per request.
+        """
+        if self._fixed_resources:
+            return {
+                key: self._plan_with_fixed_resources(request)
+                for key, request in requests.items()
+            }
+        return self._scheduler.schedule_cohort(requests)
 
     def plan_window(
         self,
@@ -113,9 +116,7 @@ class EkyaPolicy(ProfiledPolicy):
         spec: EdgeServerSpec,
     ) -> WindowSchedule:
         request = self.prepare_request(streams, window_index, spec)
-        if self._fixed_resources:
-            return self._plan_with_fixed_resources(request)
-        return self._scheduler.schedule(request)
+        return self.solve_cohort({"": request})[""]
 
     # -------------------------------------------------------------- variants
     def _restrict_to_fixed_config(self, request: ScheduleRequest) -> ScheduleRequest:

@@ -73,6 +73,7 @@ is deterministic across runs.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Tuple
 
@@ -337,7 +338,16 @@ class EventCalendar:
         return self._now
 
     def schedule(self, event: SimEvent) -> SimEvent:
-        """Add ``event`` to the calendar; returns it for chaining."""
+        """Add ``event`` to the calendar; returns it for chaining.
+
+        A non-finite time is rejected: NaN would pass every ordering check
+        and land at an undefined heap position, infinity would never fire.
+        """
+        if not math.isfinite(event.time):
+            raise FleetError(
+                f"cannot schedule {type(event).__name__} at t={event.time}: "
+                "event times must be finite"
+            )
         if event.time < self._now:
             raise FleetError(
                 f"cannot schedule {type(event).__name__} at t={event.time:g}s: "
@@ -354,9 +364,9 @@ class EventCalendar:
     def peek(self) -> Optional[SimEvent]:
         """The next event without popping it, or ``None`` when empty.
 
-        Lets the fleet's batched-planning loop collect a whole cohort of
-        same-instant :class:`WindowBoundary` events (they are contiguous at
-        the head: nothing else shares their priority) before dispatching.
+        Lets the fleet's event loop collect a whole cohort of same-instant
+        :class:`WindowBoundary` events (they are contiguous at the head:
+        nothing else shares their priority) before dispatching.
         """
         return self._heap[0][3] if self._heap else None
 

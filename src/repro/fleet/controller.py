@@ -70,26 +70,10 @@ class FleetController:
         telemetry: Optional["TelemetryConfig"] = None,
         control_policy: Optional[ControlPolicy] = None,
         sanitize: bool = False,
-        batched_planning: bool = False,
         seed: int = 0,
     ) -> None:
         if not sites:
             raise FleetError("a fleet needs at least one site")
-        if batched_planning:
-            # The event loop batches whole same-instant boundary cohorts into
-            # one solve, so every site's policy must expose the split
-            # prepare/solve surface and a cohort-capable scheduler.
-            for site in sites:
-                policy = site.policy
-                scheduler = getattr(policy, "scheduler", None)
-                if not hasattr(policy, "prepare_request") or not hasattr(
-                    scheduler, "schedule_cohort"
-                ):
-                    raise FleetError(
-                        f"batched_planning needs a cohort-capable policy on every "
-                        f"site; {site.name!r} has {policy.name!r} "
-                        f"(build it with EkyaPolicy(batched_planning=True))"
-                    )
         names = [site.name for site in sites]
         if len(set(names)) != len(names):
             raise FleetError("site names must be unique")
@@ -106,7 +90,6 @@ class FleetController:
         self._stream_factory = stream_factory
         self._profile_sharing = profile_sharing
         self._preemptive_sites = preemptive_sites
-        self._batched_planning = batched_planning
         self._wan_faults = wan_faults
         self._telemetry = telemetry
         self._control_policy = (
@@ -190,20 +173,6 @@ class FleetController:
         default — the boundary-settled engine is reproduced bit for bit.
         """
         return self._preemptive_sites
-
-    @property
-    def batched_planning(self) -> bool:
-        """Whether the event loop plans same-instant boundary cohorts batched.
-
-        Set by :func:`~repro.fleet.factory.make_fleet` when built with
-        ``batched_planning=True``.  The :class:`~repro.fleet.simulator.
-        FleetSimulator` reads this flag: all sites whose ``WindowBoundary``
-        fires at one instant have their requests profiled site by site, then
-        solved in a single stacked
-        :meth:`~repro.core.batched_planner.BatchedThiefScheduler.
-        schedule_cohort` call — bit-identical to the scalar per-site path.
-        """
-        return self._batched_planning
 
     @property
     def wan_faults(self) -> Optional[WanFaultModel]:

@@ -9,6 +9,7 @@ through this, so fleet experiments are reproducible from (shape, seed) alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -131,7 +132,6 @@ def make_fleet(
     telemetry: Optional[TelemetryConfig] = None,
     control_policy: Union[str, ControlPolicy] = "greedy",
     sanitize: bool = False,
-    batched_planning: bool = False,
 ) -> FleetController:
     """Build a fleet of Ekya sites with the initial workload already admitted.
 
@@ -139,7 +139,9 @@ def make_fleet(
     over one shared :class:`~repro.profiles.dynamics.AnalyticDynamics`
     substrate — sharing the substrate is what makes migration meaningful: a
     stream's serving-model state follows it across sites, paid for by the
-    checkpoint + profile WAN transfer.
+    checkpoint + profile WAN transfer.  The sites share one policy, whose
+    :class:`~repro.core.batched_planner.BatchedThiefScheduler` the fleet
+    simulator hands every site planning at one instant in a single call.
 
     ``links`` optionally assigns one WAN link per site (cycled if shorter);
     the default leaves every site on the :class:`SiteSpec` default link.
@@ -217,15 +219,6 @@ def make_fleet(
     pre-existing engine state.  Guarding is observational — a sanitized
     fleet's results are bit-identical to an unsanitized one (gated by the
     golden-parity suite) — but digesting is slow; debug/CI use only.
-
-    ``batched_planning`` swaps the shared policy's scheduler for the
-    :class:`~repro.core.batched_planner.BatchedThiefScheduler` and makes the
-    event loop solve whole same-instant boundary cohorts in one stacked
-    numpy call (profiling still runs site by site, in boundary order).
-    Results are bit-identical to the scalar path — same decisions,
-    accuracies and counters — the property suite
-    (``tests/property/test_property_batched_planner.py``) enforces it; the
-    win is planning wall-clock on wide fleets and many-stream sites.
     """
     if num_sites < 1:
         raise FleetError("num_sites must be >= 1")
@@ -236,8 +229,8 @@ def make_fleet(
         if isinstance(window_duration, (int, float))
         else [float(duration) for duration in window_duration]
     )
-    if not durations or any(duration <= 0 for duration in durations):
-        raise FleetError("window_duration entries must be positive")
+    if not durations or not all(0 < duration < math.inf for duration in durations):
+        raise FleetError(f"window_duration entries must be positive and finite, got {durations}")
     if profiling_settings is not None and not profile_sharing:
         raise FleetError(
             "profiling_settings only tunes the shared profile source; "
@@ -273,7 +266,6 @@ def make_fleet(
         steal_quantum=delta,
         name="Ekya",
         clock=clock,
-        batched_planning=batched_planning,
     )
     sites = []
     for index in range(num_sites):
@@ -317,7 +309,6 @@ def make_fleet(
         telemetry=telemetry,
         control_policy=control_policy,
         sanitize=sanitize,
-        batched_planning=batched_planning,
         seed=seed,
     )
     total_streams = num_sites * streams_per_site

@@ -26,8 +26,8 @@ window duration, and therefore requires a homogeneous-window fleet.
   capacity is currently left, and its recovery restores exactly the count
   it took.
 
-Every event is validated at construction (negative times, expiry not after
-the trigger) and again when handed to a
+Every event is validated at construction (negative or non-finite times,
+expiry not after the trigger) and again when handed to a
 :class:`~repro.fleet.simulator.FleetSimulator`, which checks the named sites
 exist and that window-indexed events are only used on homogeneous fleets —
 a bad scenario fails up front, not windows into a run.
@@ -35,6 +35,7 @@ a bad scenario fails up front, not windows into a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Collection, List, Optional, Union
 
@@ -48,10 +49,12 @@ def _validate_trigger(event: "ScenarioEvent") -> None:
             f"{type(event).__name__} needs exactly one of window= (window-indexed, "
             f"homogeneous fleets only) or at_seconds= (time-indexed)"
         )
-    if event.window is not None and event.window < 0:
-        raise FleetError("event window must be non-negative")
-    if event.at_seconds is not None and event.at_seconds < 0:
-        raise FleetError("event at_seconds must be non-negative")
+    if event.window is not None and not 0 <= event.window < math.inf:
+        raise FleetError(f"event window must be finite and non-negative, got {event.window}")
+    if event.at_seconds is not None and not 0 <= event.at_seconds < math.inf:
+        raise FleetError(
+            f"event at_seconds must be finite and non-negative, got {event.at_seconds}"
+        )
 
 
 def _validate_expiry(
@@ -69,16 +72,18 @@ def _validate_expiry(
                 f"{label}_window only combines with a window-indexed trigger; "
                 f"use {label}_at with at_seconds"
             )
-        if expiry_window <= event.window:
-            raise FleetError(f"{label}_window must be after the trigger window")
+        if not event.window < expiry_window < math.inf:
+            raise FleetError(f"{label}_window must be finite and after the trigger window")
     if expiry_at is not None:
         if event.at_seconds is None:
             raise FleetError(
                 f"{label}_at only combines with a time-indexed trigger; "
                 f"use {label}_window with window="
             )
-        if expiry_at <= event.at_seconds:
-            raise FleetError(f"{label}_at must be after the trigger time")
+        if not event.at_seconds < expiry_at < math.inf:
+            raise FleetError(
+                f"{label}_at must be finite and after the trigger time, got {expiry_at}"
+            )
 
 
 class _TimedEvent:
@@ -174,8 +179,8 @@ class WanDegradation(_TimedEvent):
         _validate_trigger(self)
         if not self.site:
             raise FleetError("WanDegradation needs a site name")
-        if self.uplink_factor <= 0 or self.downlink_factor <= 0:
-            raise FleetError("bandwidth factors must be positive")
+        if not (0 < self.uplink_factor < math.inf and 0 < self.downlink_factor < math.inf):
+            raise FleetError("bandwidth factors must be positive and finite")
         _validate_expiry(self, self.until_window, self.until_at, "until")
 
     def until_seconds(self, window_duration: Optional[float]) -> Optional[float]:

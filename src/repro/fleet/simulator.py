@@ -46,9 +46,12 @@ dispatched to one handler each:
   boundaries by default (the PR-2 cadence); pass ``control_interval`` to
   run the control plane on its own cadence, decoupled from windows.
 * ``WindowBoundary`` — the site plans and executes one window through the
-  unchanged single-server :class:`~repro.simulation.simulator.Simulator` /
-  thief-scheduler path, with migrated-in streams' unfinished WAN transfer
-  handed down as a retraining start delay.
+  single-server :class:`~repro.simulation.simulator.Simulator`, with
+  migrated-in streams' unfinished WAN transfer handed down as a retraining
+  start delay.  Every site whose boundary fires at one instant is planned
+  as one cohort: each profiles in pop order, then one
+  ``solve_cohort`` call of the shared policy solves them all (see
+  :meth:`FleetSimulator._on_boundary_cohort`).
 
 ``run(num_windows)`` is a thin compatibility wrapper over the event loop
 for homogeneous-window fleets and reproduces the shared-window-index
@@ -69,9 +72,11 @@ field for field across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.types import ScheduleRequest, WindowSchedule
 from ..exceptions import FleetError
 from ..profiles.fleet_store import stream_profile_key
 from ..simulation.simulator import StreamWindowOutcome, WindowPlan
@@ -175,8 +180,8 @@ class FleetSimulator:
     control_interval:
         Seconds between ``ControlTick`` s.  ``None`` (default) schedules a
         tick at every distinct window-boundary time — the synchronous PR-2
-        control plane.  A positive value runs admission/rebalancing on its
-        own cadence, so migrations can start mid-window.
+        control plane.  A positive finite value runs admission/rebalancing
+        on its own cadence, so migrations can start mid-window.
     record_events:
         Keep every processed event readable via :attr:`event_trace`
         (default).  The trace is held in the telemetry plane's fixed-size
@@ -201,8 +206,18 @@ class FleetSimulator:
         record_events: bool = True,
         telemetry: Optional[object] = None,
     ) -> None:
-        if control_interval is not None and control_interval <= 0:
-            raise FleetError("control_interval must be positive")
+        if control_interval is not None and not 0 < control_interval < math.inf:
+            raise FleetError(
+                f"control_interval must be positive and finite, got {control_interval}"
+            )
+        for site in controller.sites:
+            if not (
+                hasattr(site.policy, "prepare_request") and hasattr(site.policy, "solve_cohort")
+            ):
+                raise FleetError(
+                    f"site {site.name!r} runs {site.policy!r}, which cannot prepare and "
+                    "solve window requests (prepare_request/solve_cohort, e.g. EkyaPolicy)"
+                )
         self._controller = controller
         self._scenario = scenario or Scenario()
         self._clock = clock
@@ -223,8 +238,6 @@ class FleetSimulator:
         #: settle retrainings at per-stream RetrainingComplete events and
         #: cancel in-flight retrainings when their stream departs.
         self._preemptive = controller.preemptive_sites
-        #: Cohort planning: same-instant boundaries solved in one stacked call.
-        self._batched = controller.batched_planning
         #: Open (planned, not fully settled) window per preemptive site.
         self._open_windows: Dict[str, _OpenSiteWindow] = {}
         if self._preemptive:
@@ -368,6 +381,8 @@ class FleetSimulator:
         remaining events — late control ticks, scenario triggers — when the
         timeline is continued.
         """
+        if not math.isfinite(t_end):
+            raise FleetError(f"cannot run until t={t_end}: the end time must be finite")
         if self._calendar is None:
             self._start(start_window=0)
         elif t_end < self._calendar.now:
@@ -418,8 +433,8 @@ class FleetSimulator:
         ``run_until(399)`` on 200 s windows pops nothing after t=200, but
         the next ``run_for(10)`` must still reach t=409, not t=210).
         """
-        if seconds <= 0:
-            raise FleetError("seconds must be positive")
+        if not 0 < seconds < math.inf:
+            raise FleetError(f"seconds must be positive and finite, got {seconds}")
         return self.run_until(self._horizon + seconds)
 
     # ---------------------------------------------------------- event engine
@@ -503,7 +518,7 @@ class FleetSimulator:
             event = calendar.pop()
             if self._record_events:
                 self._telemetry.record_event(event)
-            if self._batched and isinstance(event, WindowBoundary):
+            if isinstance(event, WindowBoundary):
                 # Same-instant boundaries are contiguous at the heap head
                 # (nothing else shares their priority), and every member is
                 # strictly before t_end because the first one was.
@@ -534,9 +549,7 @@ class FleetSimulator:
         return self._current
 
     def _dispatch(self, event: SimEvent) -> None:
-        if isinstance(event, WindowBoundary):
-            self._on_window_boundary(event)
-        elif isinstance(event, ControlTick):
+        if isinstance(event, ControlTick):
             self._on_control_tick(event)
         elif isinstance(event, ProfilePush):
             self._on_profile_push(event)
@@ -720,13 +733,6 @@ class FleetSimulator:
         for key, profile in event.profiles:
             sharing.store.push(key, profile, at_seconds=event.time)
 
-    def _on_window_boundary(self, boundary: WindowBoundary) -> None:
-        prepared = self._prepare_boundary(boundary)
-        if prepared is None:
-            return
-        site, cycle, delays = prepared
-        self._finish_boundary(boundary, site, cycle, delays, None)
-
     def _prepare_boundary(
         self, boundary: WindowBoundary
     ) -> Optional[Tuple[EdgeSite, FleetWindowResult, Optional[Dict[str, float]]]]:
@@ -764,26 +770,21 @@ class FleetSimulator:
         return cohort
 
     def _on_boundary_cohort(self, cohort: List[WindowBoundary]) -> None:
-        """Plan one instant's whole boundary cohort in a single stacked solve.
+        """Plan one instant's boundary cohort (one or more sites) in one solve.
 
         Each boundary's prepare phase (settle, reschedule, transfer charges)
         and its request build — including every profiling side effect — run
-        in pop order, exactly as the scalar path interleaves them; only the
-        pure solves are batched (plans commit nothing, so reordering them
-        ahead of the finish phases is unobservable).  Finishes then run in
-        pop order, so events, stats and results land in the scalar order.
+        in pop order; only the pure solves are batched (plans commit
+        nothing, so solving them ahead of the finish phases is
+        unobservable).  Finishes then run in pop order, so events, stats
+        and results land as if each site had planned alone.
         """
-        if len(cohort) == 1:
-            # The policy's scheduler is already the batched one; a lone
-            # boundary goes through the ordinary path (a cohort of one).
-            self._on_window_boundary(cohort[0])
-            return
         prepared: List[
             Tuple[WindowBoundary, EdgeSite, FleetWindowResult, Optional[Dict[str, float]]]
         ] = []
-        # Requests grouped by scheduler instance (sites normally share one
-        # policy, so this is a single group); insertion order is pop order.
-        groups: Dict[object, Dict[str, object]] = {}
+        # Requests grouped by policy instance (make_fleet's sites share one,
+        # so this is a single group); insertion order is pop order.
+        groups: Dict[object, Dict[str, ScheduleRequest]] = {}
         for boundary in cohort:
             prep = self._prepare_boundary(boundary)
             if prep is None:
@@ -793,11 +794,10 @@ class FleetSimulator:
             request = site.prepare_window_request(boundary.window_index)
             if request is None:
                 continue
-            scheduler = site.policy.scheduler
-            groups.setdefault(scheduler, {})[site.name] = request
-        schedules: Dict[str, object] = {}
-        for scheduler, requests in groups.items():
-            schedules.update(scheduler.schedule_cohort(requests))
+            groups.setdefault(site.policy, {})[site.name] = request
+        schedules: Dict[str, WindowSchedule] = {}
+        for policy, requests in groups.items():
+            schedules.update(policy.solve_cohort(requests))
         for boundary, site, cycle, delays in prepared:
             self._finish_boundary(
                 boundary, site, cycle, delays, schedules.get(site.name)
@@ -809,10 +809,10 @@ class FleetSimulator:
         site: EdgeSite,
         cycle: FleetWindowResult,
         delays: Optional[Dict[str, float]],
-        preplanned,
+        preplanned: Optional[WindowSchedule],
     ) -> None:
         if self._preemptive:
-            self._plan_site_window(site, boundary, cycle, delays, preplanned=preplanned)
+            self._plan_site_window(site, boundary, cycle, delays, preplanned)
             return
         window_result = site.run_window(
             boundary.window_index, retraining_delays=delays, preplanned=preplanned
@@ -858,12 +858,12 @@ class FleetSimulator:
         boundary: WindowBoundary,
         cycle: FleetWindowResult,
         delays: Optional[Dict[str, float]],
-        preplanned=None,
+        preplanned: Optional[WindowSchedule],
     ) -> None:
         """Plan phase of a preemptive window: schedule, then per-stream events.
 
-        The site's scheduler runs exactly as at a boundary-settled window,
-        but nothing is realised yet: each stream whose retraining fits the
+        The cohort's schedule is placed exactly as at a boundary-settled
+        window, but nothing is realised yet: each stream whose retraining fits the
         window gets a :class:`~repro.fleet.calendar.RetrainingComplete`
         event at its absolute finish time, and the settle phase runs stream
         by stream as those events fire (or early, when a departure cancels).
@@ -1211,9 +1211,10 @@ class FleetSimulator:
         cost, saved = open_window.profiling
         failed, retries, wasted = self._pop_fault_counters(site_name)
         open_window.cycle.site_results[site_name] = result
+        # Plan order, not completion order: the site mean must sum exactly
+        # as the boundary-settled engine's does.
         accuracies = {
-            name: outcome.realized_average_accuracy
-            for name, outcome in result.outcomes.items()
+            name: result.outcomes[name].realized_average_accuracy for name in plan.streams
         }
         self._telemetry.record_site_stats(
             open_window.cycle,

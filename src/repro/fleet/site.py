@@ -21,6 +21,7 @@ gone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Mapping, Optional
 
@@ -83,9 +84,9 @@ class SiteSpec:
                 f"site {self.name!r} needs min_inference_accuracy in [0, 1), "
                 f"got {self.min_inference_accuracy}"
             )
-        if self.window_duration <= 0:
+        if not 0 < self.window_duration < math.inf:
             raise FleetError(
-                f"site {self.name!r} needs a positive window_duration, "
+                f"site {self.name!r} needs a positive finite window_duration, "
                 f"got {self.window_duration}"
             )
 
@@ -186,9 +187,9 @@ class EdgeSite:
 
         The same idle/failure guards as :meth:`run_window` apply — a site
         that would skip the window returns ``None`` here too, so the fleet's
-        batched cohort planning and the scalar per-site path skip exactly
-        the same sites.  The solved cohort schedule comes back through the
-        ``preplanned`` parameter of :meth:`run_window` / :meth:`plan_window`.
+        cohort planning asks nothing of a site that would not run.  The
+        solved cohort schedule comes back through the ``preplanned``
+        parameter of :meth:`run_window` / :meth:`plan_window`.
         """
         if not self.healthy or self._server.num_streams == 0 or self.effective_gpus < 1:
             return None
@@ -211,7 +212,7 @@ class EdgeSite:
         expresses the same constraint as absolute simulated times (requires
         ``window_start_seconds``); see
         :meth:`repro.simulation.simulator.Simulator.run_window`.
-        ``preplanned`` replaces the policy solve with a cohort-batched
+        ``preplanned`` replaces the policy solve with a cohort's
         schedule (see :meth:`prepare_window_request`).
         """
         if not self.healthy or self._server.num_streams == 0 or self.effective_gpus < 1:

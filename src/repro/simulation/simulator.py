@@ -15,8 +15,9 @@ how it hurts the real system), not as mis-measurement.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import ContextManager, Dict, List, Mapping, Optional, Tuple
 
 from ..cluster.edge_server import EdgeServer
 from ..cluster.placement import place_jobs
@@ -270,21 +271,34 @@ class Simulator:
     def prepare_request(self, window_index: int) -> ScheduleRequest:
         """Build (and profile) this window's scheduling request, unsolved.
 
-        The fleet's batched-planning path splits the policy's
-        ``plan_window`` in two: the request — including every profiling
-        side effect — is built per site, in boundary order, by this method;
-        the pure solve then runs once for the whole same-instant cohort
-        (:meth:`~repro.core.batched_planner.BatchedThiefScheduler.
-        schedule_cohort`), and the resulting schedule comes back through
+        The fleet's event loop splits the policy's ``plan_window`` in two:
+        the request — including every profiling side effect — is built per
+        site, in boundary order, by this method; the pure solve then runs
+        once for the whole same-instant cohort
+        (:meth:`~repro.core.controller.EkyaPolicy.solve_cohort`), and the
+        resulting schedule comes back through
         ``plan_window(..., preplanned=...)``.  Requires a policy exposing
         ``prepare_request`` (e.g. :class:`~repro.core.controller.EkyaPolicy`).
+        Sanitized like :meth:`plan_window`, since profiling is planning.
         """
         prepare = getattr(self._policy, "prepare_request", None)
         if prepare is None:
             raise SimulationError(
                 f"policy {self._policy.name!r} does not support prepared requests"
             )
-        return prepare(self._server.streams, window_index, self._server.spec)
+        with self._guarded(f"prepare_request({window_index})"):
+            return prepare(self._server.streams, window_index, self._server.spec)
+
+    def _guarded(self, context: str) -> ContextManager[None]:
+        """The plan-phase purity guard, or a no-op when not sanitizing."""
+        if self._sanitizer is None:
+            return contextlib.nullcontext()
+        return self._sanitizer.guard(
+            context,
+            dynamics=self._dynamics,
+            streams={stream.name: stream for stream in self._server.streams},
+            server_spec=self._server.spec,
+        )
 
     # -------------------------------------------------------------- execution
     def run(self, num_windows: int, *, start_window: int = 0) -> SimulationResult:
@@ -363,8 +377,8 @@ class Simulator:
         Delay parameters are shared with :meth:`run_window`.
 
         ``preplanned`` short-circuits the policy call with a schedule
-        already solved for this exact window — the fleet's batched cohort
-        planning hands per-site schedules back through it.  Placement
+        already solved for this exact window — the fleet's cohort planning
+        hands per-site schedules back through it.  Placement
         verification, accuracy estimates and plan assembly run unchanged.
 
         With ``sanitize=True`` the plan-phase purity sanitizer digests the
@@ -376,20 +390,7 @@ class Simulator:
         planning, and those reservations are scheduler scratch, not engine
         state.
         """
-        if self._sanitizer is None:
-            return self._plan_window(
-                window_index,
-                retraining_delays=retraining_delays,
-                window_start_seconds=window_start_seconds,
-                retraining_ready_at=retraining_ready_at,
-                preplanned=preplanned,
-            )
-        with self._sanitizer.guard(
-            f"plan_window({window_index})",
-            dynamics=self._dynamics,
-            streams={stream.name: stream for stream in self._server.streams},
-            server_spec=self._server.spec,
-        ):
+        with self._guarded(f"plan_window({window_index})"):
             return self._plan_window(
                 window_index,
                 retraining_delays=retraining_delays,

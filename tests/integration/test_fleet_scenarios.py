@@ -310,11 +310,15 @@ class TestEngineParity:
             ]
         )
 
-    def test_run_reproduces_pr2_fleet_result_bit_identically(self):
+    @pytest.mark.parametrize("preemptive", [False, True], ids=["boundary", "preemptive"])
+    def test_run_reproduces_pr2_fleet_result_bit_identically(self, preemptive):
+        """Both site modes: preemptive sites settle stream by stream, yet sum
+        each site's mean in plan order, so every value matches."""
         golden = json.loads(GOLDEN_PATH.read_text())
         clock = ManualClock()
         controller = make_fleet(
-            3, 2, gpus_per_site=2, admission="least_loaded", seed=0, clock=clock
+            3, 2, gpus_per_site=2, admission="least_loaded", seed=0, clock=clock,
+            preemptive_sites=preemptive,
         )
         result = FleetSimulator(controller, self.golden_scenario(), clock=clock).run(7)
 

@@ -50,12 +50,13 @@ def golden_scenario():
 
 
 class TestSanitizedGoldenParity:
-    def test_sanitized_run_reproduces_the_golden_result_bit_identically(self):
+    @pytest.mark.parametrize("preemptive", [False, True], ids=["boundary", "preemptive"])
+    def test_sanitized_run_reproduces_the_golden_result_bit_identically(self, preemptive):
         golden = json.loads(GOLDEN_PATH.read_text())
         clock = ManualClock()
         controller = make_fleet(
             3, 2, gpus_per_site=2, admission="least_loaded", seed=0, clock=clock,
-            sanitize=True,
+            sanitize=True, preemptive_sites=preemptive,
         )
         result = FleetSimulator(controller, golden_scenario(), clock=clock).run(7)
 
@@ -168,6 +169,19 @@ class TestInjectedMutationIsDetected:
         site._simulator._dynamics = leaky
         simulator = FleetSimulator(controller)
         with pytest.raises(PurityViolationError, match=r"plan_window\(0\)"):
+            simulator.run(1)
+
+    def test_leaky_profiling_raises_at_the_prepared_request(self):
+        """Profiling runs before the cohort solve, under a guard of its own."""
+        controller = make_fleet(2, 1, gpus_per_site=1, seed=0, sanitize=True)
+        site = controller.sites[0]
+        leaky = LeakyDynamics(seed=0)
+        for stream in site.streams:
+            leaky._state(stream)
+        site._simulator._dynamics = leaky
+        site.policy.profile_source._dynamics = leaky
+        simulator = FleetSimulator(controller)
+        with pytest.raises(PurityViolationError, match=r"prepare_request\(0\)"):
             simulator.run(1)
 
     def test_unsanitized_fleet_does_not_guard(self):

@@ -1,14 +1,18 @@
 """Property suite: the batched planner equals the scalar oracle bit for bit.
 
 The :class:`~repro.core.batched_planner.BatchedThiefScheduler` stacks every
-stream's lattice into one numpy evaluation, but its contract is *decision
-equivalence*: identical decisions, iteration and PickConfigs-evaluation
-counters and estimated accuracies to :class:`~repro.core.ThiefScheduler` on
-any request.  The scalar thief is the reference oracle — these properties
-fuzz randomized problems (fleet shapes, pruned grids, degraded sites, empty
-sites, hand-built accuracy landscapes, preemptive mode) and compare the two
-paths field by field with ``==``, never with tolerances.
+stream's lattice into blocked numpy evaluations, but its contract is
+*decision equivalence*: identical decisions, iteration and
+PickConfigs-evaluation counters and estimated accuracies to
+:class:`~repro.core.ThiefScheduler` on any request.  The scalar thief is the
+reference oracle — these properties fuzz randomized problems (fleet shapes,
+pruned grids, degraded sites, empty sites, hand-built accuracy landscapes,
+preemptive mode, row blocks) and compare the two paths field by field with
+``==``, never with tolerances.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,6 +32,7 @@ from repro.core import (
     StreamWindowInput,
     ThiefScheduler,
 )
+from repro.core import batched_planner
 from repro.core.batched_planner import BatchedThiefScheduler
 from repro.datasets import make_workload
 from repro.fleet.factory import make_fleet
@@ -285,8 +290,34 @@ class TestObjectiveTieBreak:
             assert decision.retraining_config == RetrainingConfig(epochs=15)
 
 
+#: ``make_fleet``'s allocation quantum in the fleet properties; the shared
+#: policy's steal quantum, so the oracle swapped in below must match it.
+FLEET_DELTA = 0.1
+
+
+class ScalarCohortScheduler(ThiefScheduler):
+    """The scalar oracle behind the cohort interface: one solve per request."""
+
+    def schedule_cohort(self, requests):
+        return {key: self.schedule(request) for key, request in requests.items()}
+
+
+def fleet_on(planner, *args, **kwargs):
+    """``make_fleet`` whose shared policy solves with ``planner``'s thief.
+
+    ``"oracle"`` swaps the shared policy's scheduler for
+    :class:`ScalarCohortScheduler`; ``"batched"`` keeps the engine's own.
+    """
+    controller = make_fleet(*args, delta=FLEET_DELTA, **kwargs)
+    if planner == "oracle":
+        policy = controller.sites[0].policy
+        assert all(site.policy is policy for site in controller.sites)
+        policy._scheduler = ScalarCohortScheduler(steal_quantum=FLEET_DELTA)
+    return controller
+
+
 class TestRandomizedFleets:
-    """Whole-fleet cohort planning vs the scalar event loop, bit for bit."""
+    """Whole-fleet cohort planning vs the scalar oracle, bit for bit."""
 
     @settings(
         max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -304,41 +335,152 @@ class TestRandomizedFleets:
     ):
         """Randomized fleets — including empty sites (``streams_per_site=0``),
         degraded GPUs and preemptive site internals — summarize identically
-        with cohort batching on and off."""
+        whether the cohort is solved batched or by the scalar oracle."""
         summaries = {}
         windows = {}
-        for batched in (False, True):
-            controller = make_fleet(
+        for planner in ("oracle", "batched"):
+            controller = fleet_on(
+                planner,
                 num_sites,
                 streams_per_site,
                 gpus_per_site=gpus_per_site,
                 seed=seed,
                 preemptive_sites=preemptive,
-                batched_planning=batched,
             )
             if degrade and gpus_per_site > 1:
                 controller.sites[0].degrade_gpus(1)
             result = FleetSimulator(controller).run(2)
-            summaries[batched] = result.summary()
-            windows[batched] = [w.mean_accuracy for w in result.windows]
+            summaries[planner] = result.summary()
+            windows[planner] = [w.mean_accuracy for w in result.windows]
         for field in FLEET_PARITY_FIELDS:
-            assert summaries[True][field] == summaries[False][field]
-        assert windows[True] == windows[False]
+            assert summaries["batched"][field] == summaries["oracle"][field]
+        assert windows["batched"] == windows["oracle"]
 
     def test_heterogeneous_window_cohorts_bit_identical(self):
         """Staggered per-site calendars: cohorts form only where boundaries
-        truly coincide, and the result still matches the scalar path."""
+        truly coincide, and the result still matches the scalar oracle."""
         summaries = {}
-        for batched in (False, True):
-            controller = make_fleet(
+        for planner in ("oracle", "batched"):
+            controller = fleet_on(
+                planner,
                 3,
                 2,
                 gpus_per_site=2,
                 window_duration=(100.0, 200.0, 100.0),
                 seed=11,
-                batched_planning=batched,
             )
             result = FleetSimulator(controller).run_for(600.0)
-            summaries[batched] = result.summary()
+            summaries[planner] = result.summary()
         for field in FLEET_PARITY_FIELDS:
-            assert summaries[True][field] == summaries[False][field]
+            assert summaries["batched"][field] == summaries["oracle"][field]
+
+
+@contextmanager
+def row_blocks(size):
+    """Patch :data:`~repro.core.batched_planner.ROW_BLOCK` to ``size``.
+
+    Yields the row count of every block evaluated meanwhile, so a property
+    can check that its examples really crossed block boundaries.
+    """
+    sizes = []
+    evaluate = batched_planner._compute_block
+
+    def recording(pending):
+        sizes.append(len(pending))
+        evaluate(pending)
+
+    with mock.patch.object(batched_planner, "ROW_BLOCK", size), mock.patch.object(
+        batched_planner, "_compute_block", recording
+    ):
+        yield sizes
+
+
+#: Stream shapes that take different branches of the stacked evaluation.
+ROW_KINDS = ("fast", "below_a_min", "under_provisioned")
+
+
+def kind_stream(name, kind, value):
+    """One stream of the given :data:`ROW_KINDS` shape; ``value`` in [0, 1]."""
+    if kind == "fast":
+        # Meets a_min at every level: the masked-argmax fast path.
+        return _stream_input(name, 0.5 + 0.4 * value, 0.9, 20.0 + 100.0 * value)
+    if kind == "below_a_min":
+        # Base accuracy below a_min: the reference candidate scan.
+        return _stream_input(name, 0.25 * value, 0.8, 40.0 + 60.0 * value)
+    # One inference config no small share provisions: the level-varying
+    # post-retraining factor.
+    return TestUnderProvisionedRelease._greedy_stream(name, 0.5 + 1.5 * value)
+
+
+class TestRowBlocks:
+    """Blocking the stacked evaluation changes no bit.
+
+    ``ROW_BLOCK`` is patched down to 1–3 rows, so every example spans
+    several blocks and padding differs from block to block.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6).flatmap(
+            lambda extra: st.permutations(list(ROW_KINDS) + extra)
+        ),
+        values=st.lists(unit, min_size=9, max_size=9),
+        block=st.integers(min_value=1, max_value=3),
+        num_gpus=st.integers(min_value=1, max_value=4),
+        quantum=st.sampled_from([0.1, 0.25, 0.5]),
+    )
+    def test_mixed_row_kinds_bit_identical(self, kinds, values, block, num_gpus, quantum):
+        """Fast, below-a_min and under-provisioned rows, shuffled across blocks."""
+        streams = {
+            f"cam-{i}": kind_stream(f"cam-{i}", kind, values[i])
+            for i, kind in enumerate(kinds)
+        }
+        request = ScheduleRequest(
+            window_index=0,
+            window_seconds=200.0,
+            total_gpus=float(num_gpus),
+            delta=0.1,
+            a_min=0.3,
+            streams=streams,
+        )
+        with row_blocks(block) as sizes:
+            batched = BatchedThiefScheduler(steal_quantum=quantum).schedule(request)
+        scalar = ThiefScheduler(steal_quantum=quantum).schedule(request)
+        assert_schedules_identical(scalar, batched)
+        assert max(sizes) <= block < len(streams)
+        assert sizes[0] == block
+
+    @settings(
+        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        stream_counts=st.lists(
+            st.integers(min_value=2, max_value=12), min_size=1, max_size=3
+        ),
+        num_gpus=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+        block=st.integers(min_value=1, max_value=3),
+        delta=st.sampled_from([0.1, 0.25, 0.5]),
+    )
+    def test_cohorts_across_blocks_bit_identical(
+        self, stream_counts, num_gpus, seed, block, delta
+    ):
+        """Oracle-profiled sites stacked into one cohort, blocks spanning sites."""
+        requests = {
+            f"site-{index}": build_oracle_request(
+                num_streams,
+                num_gpus,
+                seed + index,
+                default_retraining_grid(),
+                default_inference_configs(),
+                delta,
+            )
+            for index, num_streams in enumerate(stream_counts)
+        }
+        with row_blocks(block) as sizes:
+            cohort = BatchedThiefScheduler(steal_quantum=delta).schedule_cohort(requests)
+        for key, request in requests.items():
+            scalar = ThiefScheduler(steal_quantum=delta).schedule(request)
+            assert_schedules_identical(scalar, cohort[key])
+        assert max(sizes) <= block
+        assert len(sizes) > 1

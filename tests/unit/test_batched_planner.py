@@ -2,34 +2,33 @@
 
 The equivalence guarantees live in the property suite
 (``tests/property/test_property_batched_planner.py``); this module pins
-the plumbing around them — policy/controller wiring, the prepare/solve
-split, cohort scheduling over explicit request maps, the preplanned-window
-handoff and every validation error a misconfiguration must raise.
+the plumbing around them — the prepare/solve split, cohort scheduling over
+explicit request maps, the preplanned-window handoff, and how the fleet
+plans sites whose policy is not the plain thief.
 """
 
 import pytest
 
 from repro.cluster import EdgeServer, EdgeServerSpec
 from repro.configs import ConfigurationSpace
-from repro.core import EkyaPolicy, OracleProfileSource, ThiefScheduler
+from repro.core import EkyaPolicy, OracleProfileSource, UniformPolicy
 from repro.core.batched_planner import BatchedThiefScheduler, inference_gpu_of
 from repro.core.candidate_table import build_candidate_tables
 from repro.datasets import make_workload
-from repro.exceptions import FleetError, SchedulingError, SimulationError
+from repro.exceptions import FleetError, SimulationError
+from repro.fleet import EdgeSite, FleetController, FleetSimulator, SiteSpec
+from repro.fleet.admission import LeastLoadedAdmission
 from repro.fleet.calendar import EventCalendar, WindowBoundary
-from repro.fleet.controller import FleetController
-from repro.fleet.factory import make_fleet
 from repro.profiles import AnalyticDynamics
 from repro.simulation import Simulator
 
 
-def _policy(batched=True, seed=0, dynamics=None, **kwargs):
+def _policy(seed=0, dynamics=None, **kwargs):
     dynamics = dynamics if dynamics is not None else AnalyticDynamics(seed=seed)
     return EkyaPolicy(
         OracleProfileSource(dynamics, seed=seed),
         ConfigurationSpace.small(),
         steal_quantum=0.25,
-        batched_planning=batched,
         **kwargs,
     )
 
@@ -44,37 +43,24 @@ def _simulator(num_streams=3, seed=0):
     """A single-site simulator whose policy profiles the same substrate."""
     streams, spec = _problem(num_streams=num_streams, seed=seed)
     dynamics = AnalyticDynamics(seed=seed)
-    policy = _policy(batched=True, seed=seed, dynamics=dynamics)
+    policy = _policy(seed=seed, dynamics=dynamics)
     return Simulator(EdgeServer(spec, streams), dynamics, policy), policy
 
 
 class TestPolicyWiring:
-    def test_batched_flag_swaps_the_scheduler(self):
-        assert isinstance(_policy(batched=True).scheduler, BatchedThiefScheduler)
-        scalar = _policy(batched=False)
-        assert isinstance(scalar.scheduler, ThiefScheduler)
-        assert not isinstance(scalar.scheduler, BatchedThiefScheduler)
-        assert _policy(batched=True).batched_planning
-        assert not scalar.batched_planning
-
-    def test_batched_rejects_fixed_resources(self):
-        # fixed_resources never runs the thief: the flag would be dead.
-        with pytest.raises(SchedulingError, match="fixed_resources"):
-            _policy(batched=True, fixed_resources={"inference": 0.5, "retraining": 0.5})
-
     def test_prepare_request_then_solve_matches_plan_window(self):
         streams, spec = _problem()
-        policy = _policy(batched=True)
+        policy = _policy()
         request = policy.prepare_request(streams, 0, spec)
         solved = policy.scheduler.schedule(request)
-        direct = _policy(batched=True).plan_window(streams, 0, spec)
+        direct = _policy().plan_window(streams, 0, spec)
         assert solved.decisions == direct.decisions
         assert solved.estimated_average_accuracy == direct.estimated_average_accuracy
 
 
 class TestScheduleCohort:
     def test_cohort_matches_per_request_schedules(self):
-        policy = _policy(batched=True)
+        policy = _policy()
         requests = {}
         for index, seed in enumerate((0, 7)):
             streams, spec = _problem(num_streams=2 + index, seed=seed)
@@ -90,7 +76,7 @@ class TestScheduleCohort:
             )
 
     def test_empty_cohort_is_empty(self):
-        assert _policy(batched=True).scheduler.schedule_cohort({}) == {}
+        assert _policy().scheduler.schedule_cohort({}) == {}
 
 
 class TestSimulatorHandoff:
@@ -110,26 +96,48 @@ class TestSimulatorHandoff:
         assert assisted.mean_accuracy == unassisted.mean_accuracy
 
 
-class TestFleetValidation:
-    def test_controller_rejects_scalar_policy_sites(self):
-        scalar_fleet = make_fleet(2, 1, gpus_per_site=2, seed=0)
-        with pytest.raises(FleetError, match="batched_planning"):
-            FleetController(
-                scalar_fleet.sites,
-                dynamics=scalar_fleet.dynamics,
-                admission=scalar_fleet.admission_policy,
-                batched_planning=True,
-            )
+def _fleet(policy_for, num_sites=2, streams_per_site=2):
+    """A fleet whose sites each run the policy ``policy_for(index, dynamics)``."""
+    dynamics = AnalyticDynamics(seed=0)
+    sites = [
+        EdgeSite(
+            SiteSpec(name=f"site-{index}", num_gpus=2),
+            dynamics=dynamics,
+            policy=policy_for(index, dynamics),
+        )
+        for index in range(num_sites)
+    ]
+    controller = FleetController(sites, dynamics=dynamics, admission=LeastLoadedAdmission())
+    controller.admit_all(make_workload("cityscapes", num_sites * streams_per_site, seed=0))
+    return controller
 
-    def test_make_fleet_exposes_the_flag(self):
-        assert make_fleet(1, 1, batched_planning=True).batched_planning
-        assert not make_fleet(1, 1).batched_planning
+
+class TestFleetPlanning:
+    def test_fixed_resources_sites_keep_their_static_split(self):
+        """The cohort solve goes through the policy, never around it."""
+        fixed = _policy(fixed_resources=True, inference_share_when_fixed=0.25)
+        window = FleetSimulator(_fleet(lambda index, dynamics: fixed)).run(1).windows[0]
+        assert len(window.site_results) == 2
+        for result in window.site_results.values():
+            # 2 GPUs over 2 streams, a quarter of each share for inference.
+            assert result.schedule.iterations == 1
+            assert {d.inference_gpu for d in result.schedule.decisions.values()} == {0.25}
+
+    def test_site_without_prepare_and_solve_fails_before_any_window(self):
+        def policy_for(index, dynamics):
+            if index == 0:
+                return _policy(dynamics=dynamics)
+            return UniformPolicy(OracleProfileSource(dynamics), ConfigurationSpace.small())
+
+        controller = _fleet(policy_for)
+        with pytest.raises(FleetError, match="'site-1'.*prepare"):
+            FleetSimulator(controller)
 
 
 class TestHelpers:
     def test_inference_gpu_of_matches_lattice_units(self):
         streams, spec = _problem(num_streams=1)
-        policy = _policy(batched=True)
+        policy = _policy()
         request = policy.prepare_request(streams, 0, spec)
         quantum = request.delta
         tables = build_candidate_tables(
