@@ -39,6 +39,12 @@ small per-stream numpy dispatches with a few large ones; the speculative
 columns land in each table's memo, where the sibling streams' queries find
 them.  ``pick_configs_evaluations`` keeps the oracle's meaning — distinct
 columns actually *queried* — so the counter is comparable across both paths.
+
+Why prefixes win: the sweep reads only the first few retraining levels of a
+column, so a column is evaluated as a prefix (:data:`PREFIX_FLOOR` levels, or
+up to the level about to be read) and extended in place when a read passes
+its end.  Levels are independent of one another, so a prefix is bit for bit
+the start of the oracle's full column.
 """
 
 from __future__ import annotations
@@ -58,7 +64,12 @@ from .types import ScheduleRequest, WindowSchedule
 
 
 class _HeavyRow:
-    """One non-trivial column in a stacked batch (lattice has room to retrain)."""
+    """One non-trivial column in a stacked batch (lattice has room to retrain).
+
+    The block evaluates retraining levels ``first .. first + width - 1`` of
+    the column; ``first`` is 1 for a new column and the current prefix end
+    for an extension.
+    """
 
     __slots__ = (
         "table",
@@ -67,7 +78,8 @@ class _HeavyRow:
         "factor_during",
         "accuracy_during",
         "base_meets",
-        "max_level",
+        "first",
+        "width",
         "num_configs",
     )
 
@@ -79,7 +91,8 @@ class _HeavyRow:
         factor_during: float,
         accuracy_during: float,
         base_meets: bool,
-        max_level: int,
+        first: int,
+        width: int,
         num_configs: int,
     ) -> None:
         self.table = table
@@ -88,63 +101,83 @@ class _HeavyRow:
         self.factor_during = factor_during
         self.accuracy_during = accuracy_during
         self.base_meets = base_meets
-        self.max_level = max_level
+        self.first = first
+        self.width = width
         self.num_configs = num_configs
 
 
 #: Rows per stacked evaluation.  Every stacked op is elementwise per row or
 #: reduces along the config axis, so splitting a batch into blocks cannot
-#: change a bit; it bounds the ``(row, level, config)`` working set.  A
-#: 150-stream site on 24 GPUs at a 0.1 quantum stacks 240 levels x 12
-#: configs per row.  Measured on that shape (the end-to-end ``dense_sites``
-#: workload, 2-core host): peak RSS 117 MiB unbounded, 103-105 MiB at 32
-#: rows, 102 at 16 and 101-102 at 4-8, against 99-100 for the scalar thief;
-#: 16 rows planned fastest (28 ms per 100-stream schedule, 30-36 ms at 4,
-#: 8 and 32 rows).
-ROW_BLOCK = 16
+#: change a bit; it bounds the ``(row, level, config)`` working set, which
+#: prefix columns keep to a few levels per row.  Measured on a 2-core host:
+#: on ``make_fleet(16, 400)`` over 3 windows, peak RSS 222-224 MiB at 16 to
+#: 1024 rows and 244 MiB unblocked, with 64-256 rows fastest (10.5-12.8 s,
+#: 16 rows 12.8-13.5 s); on the end-to-end ``dense_sites`` workload, 256
+#: rows (one block per cohort) planned 26 % more stream-windows per second
+#: than 16 at +0.4 % peak RSS.
+ROW_BLOCK = 256
+
+#: Fewest retraining levels a new column is evaluated to.  The steal sweep
+#: reads only the first few levels of a column: over one seed-0 repetition
+#: of each end-to-end workload, the p99 of the deepest level read in a
+#: column is 4-9 (max 26), and levels at or below it are 1-9 % of the full
+#: columns.  So a column starts as this prefix and grows geometrically when
+#: a read passes its end.
+PREFIX_FLOOR = 8
 
 
-def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int]]) -> None:
+def compute_columns_batched(rows: Sequence[Tuple[CandidateTable, int, int]]) -> None:
     """Seed many tables' lattice columns from stacked evaluations.
 
-    Each ``(table, inference_units)`` pair gets exactly the :class:`_Column`
-    that ``table._compute_column(inference_units)`` would produce — the
-    stacked arithmetic mirrors it operation-for-operation — written into the
-    table's memo.  Pairs whose column is already memoised are skipped, and
-    ``table.evaluations`` is *not* touched: the batched scheduler counts
-    queries itself, so the counter keeps the oracle's first-query semantics.
-    Rows are evaluated :data:`ROW_BLOCK` at a time.
+    Each ``(table, inference_units, level)`` triple makes sure the table's
+    memoised column at ``inference_units`` holds every retraining level up
+    to ``level`` (capped at the lattice).  A new column is evaluated to at
+    least :data:`PREFIX_FLOOR` levels; a memoised column that ends short of
+    ``level`` is extended in place to at least twice its deepest level, so
+    list objects a caller holds stay valid.  Each column written is a prefix of
+    the :class:`_Column` that ``table._compute_column(inference_units)``
+    would produce — the stacked arithmetic mirrors it operation for
+    operation — and ``table.evaluations`` is *not* touched: the batched
+    scheduler counts queries itself, so the counter keeps the oracle's
+    first-query semantics.  Rows are evaluated :data:`ROW_BLOCK` at a time.
     """
-    pending: List[Tuple[CandidateTable, int]] = []
-    seen = set()
-    for table, units in rows:
-        if units in table._columns:
-            continue
+    wanted: Dict[Tuple[CandidateTable, int], int] = {}
+    for table, units, level in rows:
         key = (table, units)
-        if key in seen:
-            continue
-        seen.add(key)
-        if not 0 <= units <= table._total_units:
-            raise SchedulingError(
-                f"inference_units {units} outside lattice [0, {table._total_units}]"
-            )
-        pending.append((table, units))
+        if level > wanted.get(key, -1):
+            wanted[key] = level
+    pending: List[Tuple[CandidateTable, int, int, int]] = []
+    for (table, units), level in wanted.items():
+        top = table._total_units - units
+        column = table._columns.get(units)
+        if column is None:
+            if not 0 <= units <= table._total_units:
+                raise SchedulingError(
+                    f"inference_units {units} outside lattice [0, {table._total_units}]"
+                )
+            first, last = 1, max(level, PREFIX_FLOOR)
+        else:
+            first = len(column.accuracy)
+            if min(level, top) < first:
+                continue
+            last = max(level, 2 * (first - 1))
+        pending.append((table, units, first, min(last, top)))
     for start in range(0, len(pending), ROW_BLOCK):
         _compute_block(pending[start : start + ROW_BLOCK])
 
 
-def _compute_block(pending: Sequence[Tuple[CandidateTable, int]]) -> None:
-    """Write the columns of at most :data:`ROW_BLOCK` pending rows."""
+def _compute_block(pending: Sequence[Tuple[CandidateTable, int, int, int]]) -> None:
+    """Write levels ``first..last`` of at most :data:`ROW_BLOCK` pending rows."""
     # ---- inference-config pick, stacked (twin of _pick_inference_index).
     # Padding: demands +inf (never fits, never argmin), factors -inf (never
     # argmax), above_min False — padded slots can never win a tie-break.
     num_rows = len(pending)
-    max_inference = max(len(table._demands_list) for table, _ in pending)
+    max_inference = max(len(row[0]._demands_list) for row in pending)
     demands = np.full((num_rows, max_inference), np.inf, dtype=float)
     base_factors = np.full((num_rows, max_inference), -np.inf, dtype=float)
     above_min = np.zeros((num_rows, max_inference), dtype=bool)
     inference_gpu = np.empty(num_rows, dtype=float)
-    for row, (table, units) in enumerate(pending):
+    for row, (table, units, _, _) in enumerate(pending):
         count = len(table._demands_list)
         demands[row, :count] = table._demands
         base_factors[row, :count] = table._base_factors
@@ -160,7 +193,7 @@ def _compute_block(pending: Sequence[Tuple[CandidateTable, int]]) -> None:
 
     # ---- scalar prologue per row (pure-Python floats, as in the oracle).
     heavy: List[_HeavyRow] = []
-    for row, (table, units) in enumerate(pending):
+    for row, (table, units, first, last) in enumerate(pending):
         index = int(inference_index[row])
         factor_during = table._effective_factor(index, units * table._quantum)
         accuracy_during = float(min(max(table._start * factor_during, 0.0), 1.0))
@@ -168,9 +201,11 @@ def _compute_block(pending: Sequence[Tuple[CandidateTable, int]]) -> None:
         max_level = table._total_units - units
         num_configs = len(table._retraining_configs)
         if max_level < 1 or num_configs == 0:
-            accuracy = np.full(max_level + 1, accuracy_during, dtype=float)
-            choice = np.full(max_level + 1, -1, dtype=np.int64)
-            table._columns[units] = _Column(index, accuracy.tolist(), choice.tolist())
+            # Nothing to retrain: the whole column is one value, written in
+            # full, so it never needs extending.
+            table._columns[units] = _Column(
+                index, [accuracy_during] * (max_level + 1), [-1] * (max_level + 1)
+            )
             continue
         heavy.append(
             _HeavyRow(
@@ -180,7 +215,8 @@ def _compute_block(pending: Sequence[Tuple[CandidateTable, int]]) -> None:
                 factor_during,
                 accuracy_during,
                 base_meets,
-                max_level,
+                first,
+                last - first + 1,
                 num_configs,
             )
         )
@@ -189,10 +225,10 @@ def _compute_block(pending: Sequence[Tuple[CandidateTable, int]]) -> None:
 
     # ---- stacked (row, level, config) evaluation.  Padded configs carry
     # gpu_seconds = 0, so `completes` is False and they mask to -inf; padded
-    # levels hold valid positive allocations (the lattice just ends earlier
-    # for that row) and are sliced away before write-back.
+    # levels hold valid positive allocations (the row's range just ends
+    # earlier) and are sliced away before write-back.
     num_heavy = len(heavy)
-    max_levels = max(item.max_level for item in heavy)
+    max_width = max(item.width for item in heavy)
     max_configs = max(item.num_configs for item in heavy)
     post = np.zeros((num_heavy, max_configs), dtype=float)
     gpu_seconds = np.zeros((num_heavy, max_configs), dtype=float)
@@ -200,6 +236,8 @@ def _compute_block(pending: Sequence[Tuple[CandidateTable, int]]) -> None:
     windows = np.empty(num_heavy, dtype=float)
     a_mins = np.empty(num_heavy, dtype=float)
     accuracy_during_col = np.empty(num_heavy, dtype=float)
+    firsts = np.empty(num_heavy, dtype=float)
+    widths = np.empty(num_heavy, dtype=np.int64)
     for row, item in enumerate(heavy):
         table = item.table
         post[row, : item.num_configs] = table._post
@@ -208,18 +246,24 @@ def _compute_block(pending: Sequence[Tuple[CandidateTable, int]]) -> None:
         windows[row] = table._window
         a_mins[row] = table._a_min
         accuracy_during_col[row] = item.accuracy_during
+        firsts[row] = item.first
+        widths[row] = item.width
 
-    retraining_gpus = np.arange(1, max_levels + 1, dtype=float)[None, :] * quanta[:, None]
+    # Levels are integer-valued floats, so ``level * quantum`` is the same
+    # IEEE product as the oracle's ``arange(1, ...) * quantum`` at that level.
+    levels = firsts[:, None] + np.arange(max_width, dtype=float)[None, :]
+    retraining_gpus = levels * quanta[:, None]
 
     # Post-retraining inference factor.  With release the retraining share
     # rejoins inference after the window, so the factor depends on the level
-    # only for rows whose *smallest* post-window share (level 1 — post_gpus
-    # grows monotonically) still under-provisions the chosen config; those
-    # run the scalar power law (shared with CandidateTable) for bit-identity.
-    # Without release it is the prologue's factor_during verbatim.  Nearly
-    # every row is level-constant, which collapses the factor — and
-    # everything derived from it alone — from (row, level, config) tensors
-    # to (row, config) matrices.
+    # only for rows whose *smallest* post-window share in this block (the
+    # row's first level — post_gpus grows monotonically) still
+    # under-provisions the chosen config; those run the scalar power law
+    # (shared with CandidateTable) for bit-identity.  Without release it is
+    # the prologue's factor_during verbatim.  Nearly every row is
+    # level-constant, which collapses the factor — and everything derived
+    # from it alone — from (row, level, config) tensors to (row, config)
+    # matrices.
     factor_row = np.empty(num_heavy, dtype=float)
     varying: List[int] = []
     for row, item in enumerate(heavy):
@@ -250,7 +294,7 @@ def _compute_block(pending: Sequence[Tuple[CandidateTable, int]]) -> None:
     completes = duration < windows3
     completes &= (gpu_seconds > 0)[:, None, :]
     if varying:
-        factor_after = np.empty((num_heavy, max_levels), dtype=float)
+        factor_after = np.empty((num_heavy, max_width), dtype=float)
         factor_after[:] = factor_row[:, None]
         for row in varying:
             item = heavy[row]
@@ -291,11 +335,10 @@ def _compute_block(pending: Sequence[Tuple[CandidateTable, int]]) -> None:
         meets2 = minimum2 >= a_mins[:, None]
 
     base_meets_col = np.array([item.base_meets for item in heavy], dtype=bool)
-    max_level_col = np.array([item.max_level for item in heavy], dtype=np.int64)
-    level_valid = np.arange(max_levels, dtype=np.int64)[None, :] < max_level_col[:, None]
+    level_valid = np.arange(max_width, dtype=np.int64)[None, :] < widths[:, None]
 
-    result_choice = np.full((num_heavy, max_levels), -1, dtype=np.int64)
-    result_accuracy = np.empty((num_heavy, max_levels), dtype=float)
+    result_choice = np.full((num_heavy, max_width), -1, dtype=np.int64)
+    result_accuracy = np.empty((num_heavy, max_width), dtype=float)
     result_accuracy[:] = accuracy_during_col[:, None]
     scan = level_valid.copy()
 
@@ -359,16 +402,19 @@ def _compute_block(pending: Sequence[Tuple[CandidateTable, int]]) -> None:
         result_choice[scan_rows, scan_levels] = state_j
         result_accuracy[scan_rows, scan_levels] = state_avg
 
-    # ---- write-back per row (level 0 is the no-retraining base point).
+    # ---- write-back per row (level 0 is the no-retraining base point).  An
+    # extension appends to the memoised column's lists in place.
     accuracy_rows = result_accuracy.tolist()
     choice_rows = result_choice.tolist()
     for row, item in enumerate(heavy):
-        levels = item.max_level
-        accuracy = [item.accuracy_during]
-        accuracy.extend(accuracy_rows[row][:levels])
-        choice = [-1]
-        choice.extend(choice_rows[row][:levels])
-        item.table._columns[item.units] = _Column(item.inference_index, accuracy, choice)
+        width = item.width
+        if item.first == 1:
+            column = _Column(item.inference_index, [item.accuracy_during], [-1])
+            item.table._columns[item.units] = column
+        else:
+            column = item.table._columns[item.units]
+        column.accuracy.extend(accuracy_rows[row][:width])
+        column.choice.extend(choice_rows[row][:width])
 
 
 def inference_gpu_of(table: CandidateTable, units: int) -> float:
@@ -409,7 +455,8 @@ class BatchedThiefScheduler(ThiefScheduler):
     Bit-identical to :class:`~repro.core.thief.ThiefScheduler` — same steal
     trajectory, same decisions, accuracies and counters — but every lattice
     column the trajectory misses is computed for *all* streams of the cohort
-    in stacked numpy blocks (:func:`compute_columns_batched`), and the
+    in stacked numpy blocks (:func:`compute_columns_batched`), as a prefix
+    that grows only when the sweep reads past it, and the
     steal loop itself runs on flat integer lists instead of the allocation
     vector's dict operations.  :meth:`schedule_cohort` extends the batch
     across many requests: all same-instant sites' fair-start columns stack
@@ -435,14 +482,15 @@ class BatchedThiefScheduler(ThiefScheduler):
             return {}
         contexts: List[Tuple[str, _CohortContext]] = []
         prepare_elapsed: List[float] = []
-        fair_rows: List[Tuple[CandidateTable, int]] = []
+        fair_rows: List[Tuple[CandidateTable, int, int]] = []
         for key, request in requests.items():
             watch = Stopwatch(self._clock)
             context = self._prepare(request)
             contexts.append((key, context))
             prepare_elapsed.append(watch.elapsed())
+            units = context.units
             for index, table in enumerate(context.tables_list):
-                fair_rows.append((table, context.units[2 * index]))
+                fair_rows.append((table, units[2 * index], units[2 * index + 1]))
         shared_watch = Stopwatch(self._clock)
         compute_columns_batched(fair_rows)
         shared = shared_watch.elapsed() / len(contexts)
@@ -490,24 +538,34 @@ class BatchedThiefScheduler(ThiefScheduler):
         # batched columns the count must not include until queried).  Levels
         # are dense small ints, so a flat list per stream turns the hot
         # loop's row lookup into an index instead of a dict probe.
+        #
+        # A row is a prefix of its column: the hot loop calls ``load`` on a
+        # miss *or* before a read past the row's end, and ``load``
+        # extends the column in place, so the list a caller holds stays the
+        # row.  A missed column is computed for every stream of the cohort,
+        # to the retraining level about to be read.
         queried: List[List[Optional[List[float]]]] = [
             [None] * (table._total_units + 1) for table in tables_list
         ]
         evaluations = 0
 
-        def load(stream: int, level: int) -> List[float]:
+        def load(stream: int, level: int, index: int) -> List[float]:
+            nonlocal evaluations
             column = column_maps[stream].get(level)
             if column is None:
-                compute_columns_batched([(table, level) for table in tables_list])
+                compute_columns_batched([(table, level, index) for table in tables_list])
                 column = column_maps[stream][level]
+            elif index >= len(column.accuracy):
+                compute_columns_batched([(tables_list[stream], level, index)])
             row = column.accuracy
-            queried[stream][level] = row
+            if queried[stream][level] is None:
+                evaluations += 1
+                queried[stream][level] = row
             return row
 
         accuracy_of: List[float] = []
         for stream in range(num_streams):
-            evaluations += 1
-            row = load(stream, units[2 * stream])
+            row = load(stream, units[2 * stream], units[2 * stream + 1])
             accuracy_of.append(row[units[2 * stream + 1]])
         accuracy_sum = sum(accuracy_of)
         best_accuracy = accuracy_sum / num_streams
@@ -556,9 +614,8 @@ class BatchedThiefScheduler(ThiefScheduler):
                             pending += 1
                             iterations += 1
                             row = thief_rows[thief_inf_units]
-                            if row is None:
-                                evaluations += 1
-                                row = load(thief_stream, thief_inf_units)
+                            if row is None or len(row) <= thief_ret_units:
+                                row = load(thief_stream, thief_inf_units, thief_ret_units)
                             new_thief = row[thief_ret_units]
                             new_sum = accuracy_sum - acc_thief + new_thief
                             accuracy = new_sum / num_streams
@@ -591,31 +648,30 @@ class BatchedThiefScheduler(ThiefScheduler):
                     victim_inf_units = units[victim_inf]
                     victim_ret_units = units[victim_ret]
                     acc_victim = accuracy_of[victim_stream]
+                    # Both streams' current points were read, so their rows
+                    # are queried and cover them; reads past a row's end can
+                    # only come from a newly loaded row or a growing
+                    # retraining index, and only those are checked.
                     if thief_is_inf:
                         thief_row = None
                     else:
                         # Retraining thief: its inference level is fixed for
                         # the whole pair, so its column row is too.
                         thief_row = thief_rows[thief_inf_units]
-                        if thief_row is None:
-                            evaluations += 1
-                            thief_row = load(thief_stream, thief_inf_units)
                     if victim_is_inf:
                         victim_row = None
                     else:
                         victim_row = victim_rows[victim_inf_units]
-                        if victim_row is None:
-                            evaluations += 1
-                            victim_row = load(victim_stream, victim_inf_units)
                     while True:
                         if victim_is_inf:
                             if victim_inf_units == 0:
                                 break
                             victim_inf_units -= 1
                             victim_row = victim_rows[victim_inf_units]
-                            if victim_row is None:
-                                evaluations += 1
-                                victim_row = load(victim_stream, victim_inf_units)
+                            if victim_row is None or len(victim_row) <= victim_ret_units:
+                                victim_row = load(
+                                    victim_stream, victim_inf_units, victim_ret_units
+                                )
                         else:
                             if victim_ret_units == 0:
                                 break
@@ -623,11 +679,12 @@ class BatchedThiefScheduler(ThiefScheduler):
                         if thief_is_inf:
                             thief_inf_units += 1
                             thief_row = thief_rows[thief_inf_units]
-                            if thief_row is None:
-                                evaluations += 1
-                                thief_row = load(thief_stream, thief_inf_units)
+                            if thief_row is None or len(thief_row) <= thief_ret_units:
+                                thief_row = load(thief_stream, thief_inf_units, thief_ret_units)
                         else:
                             thief_ret_units += 1
+                            if len(thief_row) <= thief_ret_units:
+                                load(thief_stream, thief_inf_units, thief_ret_units)
                         pending += 1
                         iterations += 1
                         new_thief = thief_row[thief_ret_units]
@@ -671,8 +728,7 @@ class BatchedThiefScheduler(ThiefScheduler):
             if queried[stream][inference_units] is None:
                 # Unreachable in practice (the final lattice point was always
                 # queried), but keeps the counter oracle-exact regardless.
-                evaluations += 1
-                load(stream, inference_units)
+                load(stream, inference_units, units[2 * stream + 1])
             decisions[name] = tables_list[stream].decision(
                 inference_units, units[2 * stream + 1]
             )

@@ -263,16 +263,31 @@ class CandidateTable:
         return _Column(inference_index, accuracy.tolist(), choice.tolist())
 
     # --------------------------------------------------------------- queries
+    def _retraining_out_of_range(
+        self, column: _Column, inference_units: int, retraining_units: int
+    ) -> SchedulingError:
+        # The memoised column may be a prefix the batched planner wrote, so
+        # the bound is its length, not the lattice's.
+        return SchedulingError(
+            f"stream {self.stream_name!r}: retraining_units {retraining_units} outside "
+            f"[0, {len(column.accuracy) - 1}] at inference_units {inference_units}"
+        )
+
     def accuracy_at(self, inference_units: int, retraining_units: int) -> float:
         """Estimated window-average accuracy at one lattice point (memoised)."""
         column = self._columns.get(inference_units)
         if column is None:
             column = self._column(inference_units)
-        return column.accuracy[retraining_units]
+        accuracy = column.accuracy
+        if 0 <= retraining_units < len(accuracy):
+            return accuracy[retraining_units]
+        raise self._retraining_out_of_range(column, inference_units, retraining_units)
 
     def decision(self, inference_units: int, retraining_units: int) -> StreamDecision:
         """Full :class:`StreamDecision` at one lattice point."""
         column = self._column(inference_units)
+        if not 0 <= retraining_units < len(column.accuracy):
+            raise self._retraining_out_of_range(column, inference_units, retraining_units)
         config_index = column.choice[retraining_units]
         retraining_config = (
             self._retraining_configs[config_index] if config_index >= 0 else None

@@ -241,6 +241,20 @@ def make_fleet(
             "profile_decay_half_life only ages the fleet profile store; "
             "pass profile_sharing=True (or drop the half-life)"
         )
+    # The site specs validate gpus_per_site and delta, naming the site,
+    # before the shared policy sees the quantum.
+    specs = []
+    for index in range(num_sites):
+        spec_kwargs = dict(
+            name=f"site-{index}",
+            num_gpus=gpus_per_site,
+            delta=delta,
+            min_inference_accuracy=a_min,
+            window_duration=durations[index % len(durations)],
+        )
+        if links:
+            spec_kwargs["link"] = links[index % len(links)]
+        specs.append(SiteSpec(**spec_kwargs))
     dynamics = AnalyticDynamics(seed=seed)
     sharing: Optional[ProfileSharing] = None
     if profile_sharing:
@@ -267,26 +281,16 @@ def make_fleet(
         name="Ekya",
         clock=clock,
     )
-    sites = []
-    for index in range(num_sites):
-        spec_kwargs = dict(
-            name=f"site-{index}",
-            num_gpus=gpus_per_site,
-            delta=delta,
-            min_inference_accuracy=a_min,
-            window_duration=durations[index % len(durations)],
+    sites = [
+        EdgeSite(
+            spec,
+            dynamics=dynamics,
+            policy=policy,
+            verify_placement=verify_placement,
+            sanitize=sanitize,
         )
-        if links:
-            spec_kwargs["link"] = links[index % len(links)]
-        sites.append(
-            EdgeSite(
-                SiteSpec(**spec_kwargs),
-                dynamics=dynamics,
-                policy=policy,
-                verify_placement=verify_placement,
-                sanitize=sanitize,
-            )
-        )
+        for spec in specs
+    ]
     if isinstance(admission, str):
         admission = build_admission(
             admission,

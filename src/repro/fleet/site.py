@@ -22,6 +22,7 @@ gone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Mapping, Optional
 
@@ -73,8 +74,12 @@ class SiteSpec:
         """
         if not self.name:
             raise FleetError("site name must be non-empty")
-        if self.num_gpus < 1:
-            raise FleetError(f"site {self.name!r} needs num_gpus >= 1, got {self.num_gpus}")
+        # NaN passes a bare ``< 1`` check and 1.5 reaches ``range()``; only a
+        # whole GPU count is a site.
+        if not isinstance(self.num_gpus, numbers.Integral) or self.num_gpus < 1:
+            raise FleetError(
+                f"site {self.name!r} needs an integer num_gpus >= 1, got {self.num_gpus}"
+            )
         if not 0 < self.delta <= self.num_gpus:
             raise FleetError(
                 f"site {self.name!r} needs delta in (0, num_gpus], got {self.delta}"

@@ -7,10 +7,11 @@ PickConfigs-evaluation counters and estimated accuracies to
 :class:`~repro.core.ThiefScheduler` on any request.  The scalar thief is the
 reference oracle — these properties fuzz randomized problems (fleet shapes,
 pruned grids, degraded sites, empty sites, hand-built accuracy landscapes,
-preemptive mode, row blocks) and compare the two paths field by field with
-``==``, never with tolerances.
+preemptive mode, row blocks, prefix columns) and compare the two paths field
+by field with ``==``, never with tolerances.
 """
 
+import math
 from contextlib import contextmanager
 from unittest import mock
 
@@ -484,3 +485,104 @@ class TestRowBlocks:
             assert_schedules_identical(scalar, cohort[key])
         assert max(sizes) <= block
         assert len(sizes) > 1
+
+
+@contextmanager
+def prefix_floor(levels):
+    """Patch :data:`~repro.core.batched_planner.PREFIX_FLOOR` to ``levels``.
+
+    Yields the first retraining level of every row evaluated meanwhile; a
+    first level above 1 is an in-place extension of a memoised prefix.
+    """
+    firsts = []
+    evaluate = batched_planner._compute_block
+
+    def recording(pending):
+        firsts.extend(first for _, _, first, _ in pending)
+        evaluate(pending)
+
+    with mock.patch.object(batched_planner, "PREFIX_FLOOR", levels), mock.patch.object(
+        batched_planner, "_compute_block", recording
+    ):
+        yield firsts
+
+
+def prefix_lattice_gpus(num_streams, quantum, floor, extra_gpus):
+    """Whole GPUs giving each stream at least ``2 * floor`` lattice units.
+
+    Then the fair start hands every stream at least ``floor`` retraining
+    units, so a retraining thief's steals read past a ``floor``-level prefix.
+    """
+    return math.ceil(2 * floor * num_streams * quantum) + extra_gpus
+
+
+class TestPrefixColumns:
+    """Growing columns on demand changes no bit.
+
+    ``PREFIX_FLOOR`` is patched down to 1–2 levels and every lattice is
+    sized by :func:`prefix_lattice_gpus`, so new columns start shorter than
+    the sweep's reads and every example extends columns in place.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6).flatmap(
+            lambda extra: st.permutations(list(ROW_KINDS) + extra)
+        ),
+        values=st.lists(unit, min_size=9, max_size=9),
+        floor=st.integers(min_value=1, max_value=2),
+        extra_gpus=st.integers(min_value=0, max_value=2),
+        quantum=st.sampled_from([0.1, 0.25, 0.5]),
+    )
+    def test_mixed_row_kinds_bit_identical(self, kinds, values, floor, extra_gpus, quantum):
+        """Fast, below-a_min and under-provisioned rows, extended in place."""
+        streams = {
+            f"cam-{i}": kind_stream(f"cam-{i}", kind, values[i])
+            for i, kind in enumerate(kinds)
+        }
+        request = ScheduleRequest(
+            window_index=0,
+            window_seconds=200.0,
+            total_gpus=float(prefix_lattice_gpus(len(streams), quantum, floor, extra_gpus)),
+            delta=0.1,
+            a_min=0.3,
+            streams=streams,
+        )
+        with prefix_floor(floor) as firsts:
+            batched = BatchedThiefScheduler(steal_quantum=quantum).schedule(request)
+        scalar = ThiefScheduler(steal_quantum=quantum).schedule(request)
+        assert_schedules_identical(scalar, batched)
+        assert max(firsts) > 1
+
+    @settings(
+        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        stream_counts=st.lists(
+            st.integers(min_value=2, max_value=12), min_size=1, max_size=3
+        ),
+        extra_gpus=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=10_000),
+        floor=st.integers(min_value=1, max_value=2),
+        delta=st.sampled_from([0.1, 0.25, 0.5]),
+    )
+    def test_cohorts_bit_identical(self, stream_counts, extra_gpus, seed, floor, delta):
+        """Oracle-profiled 1–3-site cohorts with short prefixes."""
+        num_gpus = prefix_lattice_gpus(max(stream_counts), delta, floor, extra_gpus)
+        requests = {
+            f"site-{index}": build_oracle_request(
+                num_streams,
+                num_gpus,
+                seed + index,
+                default_retraining_grid(),
+                default_inference_configs(),
+                delta,
+            )
+            for index, num_streams in enumerate(stream_counts)
+        }
+        with prefix_floor(floor) as firsts:
+            cohort = BatchedThiefScheduler(steal_quantum=delta).schedule_cohort(requests)
+        for key, request in requests.items():
+            scalar = ThiefScheduler(steal_quantum=delta).schedule(request)
+            assert_schedules_identical(scalar, cohort[key])
+        assert max(firsts) > 1

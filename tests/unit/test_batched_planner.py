@@ -3,24 +3,33 @@
 The equivalence guarantees live in the property suite
 (``tests/property/test_property_batched_planner.py``); this module pins
 the plumbing around them — the prepare/solve split, cohort scheduling over
-explicit request maps, the preplanned-window handoff, and how the fleet
-plans sites whose policy is not the plain thief.
+explicit request maps, the preplanned-window handoff, how the fleet plans
+sites whose policy is not the plain thief, and the prefix columns.
 """
+
+import re
+from unittest import mock
 
 import pytest
 
 from repro.cluster import EdgeServer, EdgeServerSpec
 from repro.configs import ConfigurationSpace
 from repro.core import EkyaPolicy, OracleProfileSource, UniformPolicy
-from repro.core.batched_planner import BatchedThiefScheduler, inference_gpu_of
+from repro.core import batched_planner
+from repro.core.batched_planner import (
+    PREFIX_FLOOR,
+    BatchedThiefScheduler,
+    compute_columns_batched,
+    inference_gpu_of,
+)
 from repro.core.candidate_table import build_candidate_tables
 from repro.datasets import make_workload
-from repro.exceptions import FleetError, SimulationError
+from repro.exceptions import FleetError, SchedulingError, SimulationError
 from repro.fleet import EdgeSite, FleetController, FleetSimulator, SiteSpec
 from repro.fleet.admission import LeastLoadedAdmission
 from repro.fleet.calendar import EventCalendar, WindowBoundary
 from repro.profiles import AnalyticDynamics
-from repro.simulation import Simulator
+from repro.simulation import Simulator, make_config_space
 
 
 def _policy(seed=0, dynamics=None, **kwargs):
@@ -159,3 +168,93 @@ class TestHelpers:
         assert calendar.peek() is event
         assert calendar.pop() is event
         assert calendar.peek() is None
+
+
+def _tables(num_streams=3, num_gpus=4, quantum=0.1, seed=0):
+    """Fresh candidate tables of an oracle-profiled request."""
+    streams = make_workload("cityscapes", num_streams, seed=seed)
+    spec = EdgeServerSpec(num_gpus=num_gpus, delta=quantum, window_duration=200.0)
+    policy = EkyaPolicy(
+        OracleProfileSource(AnalyticDynamics(seed=seed), seed=seed + 1),
+        make_config_space(),
+        steal_quantum=quantum,
+    )
+    request = policy.prepare_request(streams, 0, spec)
+    return list(
+        build_candidate_tables(
+            request.streams,
+            window_seconds=request.window_seconds,
+            a_min=request.a_min,
+            quantum=quantum,
+            total_units=int(round(num_gpus / quantum)),
+        ).values()
+    )
+
+
+class TestPrefixColumns:
+    """A column is evaluated only as far as it is read, and grows in place."""
+
+    @pytest.mark.parametrize("level", [0, 3, PREFIX_FLOOR, 17])
+    def test_prefix_is_the_start_of_the_oracle_column(self, level):
+        tables = _tables()
+        reference = _tables()
+        for units in (0, 1, 5, 39, 40):
+            compute_columns_batched([(table, units, level) for table in tables])
+            for table, oracle in zip(tables, reference):
+                column = table._columns[units]
+                full = oracle._compute_column(units)
+                length = len(column.accuracy)
+                assert length == min(max(level, PREFIX_FLOOR), 40 - units) + 1
+                assert column.inference_index == full.inference_index
+                assert column.accuracy == full.accuracy[:length]
+                assert column.choice == full.choice[:length]
+
+    def test_extension_keeps_the_list_objects_and_grows_geometrically(self):
+        table, oracle = _tables(num_streams=1)[0], _tables(num_streams=1)[0]
+        compute_columns_batched([(table, 2, 0)])
+        column = table._columns[2]
+        accuracy, choice = column.accuracy, column.choice
+        assert len(accuracy) == PREFIX_FLOOR + 1
+        compute_columns_batched([(table, 2, PREFIX_FLOOR + 1)])
+        assert table._columns[2] is column
+        assert column.accuracy is accuracy and column.choice is choice
+        assert len(accuracy) == 2 * PREFIX_FLOOR + 1
+        # A read short of twice the prefix still doubles it.
+        compute_columns_batched([(table, 2, 3 * PREFIX_FLOOR)])
+        assert column.accuracy is accuracy
+        assert len(accuracy) == 4 * PREFIX_FLOOR + 1
+        full = oracle._compute_column(2)
+        assert accuracy == full.accuracy[: len(accuracy)]
+        assert choice == full.choice[: len(accuracy)]
+
+    def test_read_past_a_prefix_raises_naming_the_stream(self):
+        table = _tables(num_streams=1)[0]
+        compute_columns_batched([(table, 2, 0)])
+        expected = re.escape(f"stream {table.stream_name!r}: retraining_units")
+        with pytest.raises(SchedulingError, match=expected):
+            table.accuracy_at(2, PREFIX_FLOOR + 1)
+
+    def test_dense_site_writes_a_small_share_of_the_full_columns(self):
+        """150 streams on 24 GPUs: the planner writes under a tenth of the
+        levels full columns would hold, so full columns cannot come back."""
+        built = []
+
+        def recording(*args, **kwargs):
+            tables = build_candidate_tables(*args, **kwargs)
+            built.extend(tables.values())
+            return tables
+
+        streams = make_workload("cityscapes", 150, seed=0)
+        spec = EdgeServerSpec(num_gpus=24, delta=0.1, window_duration=200.0)
+        policy = EkyaPolicy(
+            OracleProfileSource(AnalyticDynamics(seed=0), seed=1),
+            make_config_space(),
+            steal_quantum=0.1,
+        )
+        request = policy.prepare_request(streams, 0, spec)
+        with mock.patch.object(batched_planner, "build_candidate_tables", recording):
+            policy.scheduler.schedule(request)
+        written = sum(len(c.accuracy) - 1 for t in built for c in t._columns.values())
+        full = sum(t._total_units - units for t in built for units in t._columns)
+        assert full > 0
+        assert written < 0.1 * full

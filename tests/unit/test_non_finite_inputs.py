@@ -1,7 +1,8 @@
-"""Non-finite times and factors are rejected before the fleet engine runs.
+"""Non-finite times, factors and site shapes are rejected before the engine runs.
 
 NaN passes every ``x <= 0`` / ``x < 0`` guard, and an infinite end time or
-duration never lets the event loop finish.  Each entry point below must
+duration never lets the event loop finish.  A fractional GPU count or a
+zero quantum must fail as a site error, not deep in the cluster or policy.  Each entry point below must
 raise :class:`~repro.exceptions.FleetError` *before the calendar
 advances*.  The ``frozen_calendar`` fixture makes any advance fail the
 test, so a regression shows up as a failure instead of a hung run.
@@ -62,6 +63,29 @@ def test_control_interval_must_be_finite(frozen_calendar, value):
 def test_window_duration_must_be_finite(frozen_calendar, build, value):
     with pytest.raises(FleetError, match="window_duration"):
         build(value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SiteSpec(name="site-0", num_gpus=math.nan),
+        lambda: SiteSpec(name="site-0", num_gpus=math.inf),
+        lambda: make_fleet(1, 1, gpus_per_site=1.5),
+    ],
+    ids=["site_spec_nan", "site_spec_inf", "make_fleet_fractional"],
+)
+def test_gpu_count_must_be_a_whole_number(frozen_calendar, build):
+    """A NaN count once passed the ``< 1`` check and blamed the delta; 1.5
+    reached ``range()`` as a ``TypeError``."""
+    with pytest.raises(FleetError, match="'site-0' needs an integer num_gpus"):
+        build()
+
+
+@pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+def test_make_fleet_delta_is_checked_before_the_policy(frozen_calendar, value):
+    """``delta=0.0`` once surfaced as the policy's ``SchedulingError``."""
+    with pytest.raises(FleetError, match="'site-0'.*delta"):
+        make_fleet(1, 1, delta=value)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

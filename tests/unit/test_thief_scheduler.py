@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import inference_job_id, retraining_job_id
 from repro.configs import InferenceConfig, RetrainingConfig
-from repro.core import ScheduleRequest, StreamWindowInput, ThiefScheduler
+from repro.core import CandidateTable, ScheduleRequest, StreamWindowInput, ThiefScheduler
 from repro.exceptions import SchedulingError
 from repro.profiles import RetrainingEstimate, StreamWindowProfile, table1_scenario
 
@@ -33,6 +33,33 @@ def _stream(name, start, estimates):
     for config, accuracy, cost in estimates:
         profile.add(RetrainingEstimate(config=config, post_retraining_accuracy=accuracy, gpu_seconds=cost))
     return StreamWindowInput(stream_name=name, profile=profile, inference_configs=_inference_configs())
+
+
+class TestCandidateTableBounds:
+    """Both lattice axes are range-checked, with the stream named."""
+
+    @staticmethod
+    def _table():
+        # 4 units: at inference level 1 the column holds retraining levels 0..3.
+        stream = _stream("cam", 0.5, [(RetrainingConfig(epochs=15), 0.9, 30.0)])
+        return CandidateTable(
+            stream, window_seconds=200.0, a_min=0.4, quantum=0.25, total_units=4
+        )
+
+    @pytest.mark.parametrize("retraining_units", [-1, 4])
+    def test_out_of_range_retraining_index_raises(self, retraining_units):
+        """-1 once wrapped to the top level; 4 was a bare ``IndexError``."""
+        table = self._table()
+        with pytest.raises(SchedulingError, match="'cam'.*retraining_units"):
+            table.accuracy_at(1, retraining_units)
+        with pytest.raises(SchedulingError, match="'cam'.*retraining_units"):
+            table.decision(1, retraining_units)
+
+    def test_in_range_reads_are_unchanged(self):
+        table = self._table()
+        column = [table.accuracy_at(1, level) for level in range(4)]
+        assert column == table._column(1).accuracy
+        assert table.decision(1, 3).estimated_average_accuracy == column[3]
 
 
 class TestThiefScheduler:
