@@ -102,12 +102,17 @@ def measure_fleet_scaling(site_counts: Sequence[int] = SITE_COUNTS) -> List[Dict
 
 
 def failure_scenario() -> Scenario:
-    """The documented chaos run: burst, failure + recovery, WAN degradation."""
+    """The documented chaos run: burst, failure + recovery, WAN degradation.
+
+    Times are window starts on the default 200 s windows: the burst at
+    window 1, site-0's WAN degraded over windows 2-4, site-1 down over
+    windows 3-4.
+    """
     return Scenario(
         events=[
-            FlashCrowd(window=1, num_streams=8, dataset="urban_traffic"),
-            WanDegradation(window=2, site="site-0", uplink_factor=0.25, until_window=5),
-            SiteFailure(window=3, site="site-1", recovery_window=5),
+            FlashCrowd(at_seconds=200.0, num_streams=8, dataset="urban_traffic"),
+            WanDegradation(at_seconds=400.0, site="site-0", uplink_factor=0.25, until_at=1000.0),
+            SiteFailure(at_seconds=600.0, site="site-1", recovery_at=1000.0),
         ]
     )
 
@@ -199,7 +204,7 @@ def measure_profile_sharing(
     context.  Documentation only; the regression gates stay sharing-off.
     """
     scenario = Scenario(
-        events=[FlashCrowd(window=2, num_streams=4, dataset="cityscapes")]
+        events=[FlashCrowd(at_seconds=400.0, num_streams=4, dataset="cityscapes")]
     )
 
     def run(profile_sharing: bool):

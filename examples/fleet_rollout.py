@@ -160,17 +160,15 @@ def main() -> None:
     )
 
     # -------------------------------------------------- mid-window preemption
-    # Event-driven site internals: a three-site preemptive fleet whose
-    # site-0 fails ten seconds into window 1 — while its retrainings are
-    # still in flight.  The evacuation cancels them mid-window (the streams
-    # keep their stale models) and the reclaimed GPU-seconds accelerate
+    # Every site is event-driven.  In a three-site fleet, site-0 fails ten
+    # seconds into window 1 — while its retrainings are still in flight.
+    # The evacuation cancels them mid-window (the streams keep their stale
+    # models) and the reclaimed GPU-seconds accelerate
     # nothing on the dead site, but the trace shows the full event grammar:
     # plan at the boundary, InferenceReconfigured(retraining_cancelled) at
     # the failure, RetrainingComplete settles on the survivors, and stale
     # rescheduled completions popping as silent no-ops.
-    preemptive = make_fleet(
-        3, 4, dataset="cityscapes", gpus_per_site=2, seed=0, preemptive_sites=True
-    )
+    preemptive = make_fleet(3, 4, dataset="cityscapes", gpus_per_site=2, seed=0)
     outage = Scenario(
         events=[SiteFailure(at_seconds=210.0, site="site-0", recovery_at=800.0)]
     )
@@ -178,7 +176,7 @@ def main() -> None:
     preemptive_result = preemptive_sim.run_until(1000.0)
     preemptive_summary = preemptive_result.summary()
     print(
-        f"\nPreemptive sites (failure at t=210 s, mid-window): "
+        f"\nMid-window preemption (failure at t=210 s): "
         f"{preemptive_summary['retrainings_cancelled']} in-flight retrainings "
         f"cancelled, {preemptive_summary['reclaimed_gpu_seconds']:.0f} GPU-s "
         f"reclaimed | mean accuracy {preemptive_summary['mean_accuracy']:.3f}"

@@ -37,21 +37,11 @@ def main(argv=None) -> int:
         "--windows", type=int, default=3, help="retraining windows (default 3)"
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
-    parser.add_argument(
-        "--preemptive",
-        action="store_true",
-        help="event-driven site internals (mid-window preemption)",
-    )
     args = parser.parse_args(argv)
 
     clock = ManualClock()
     controller = make_fleet(
-        args.sites,
-        args.streams,
-        gpus_per_site=args.gpus,
-        seed=args.seed,
-        clock=clock,
-        preemptive_sites=args.preemptive,
+        args.sites, args.streams, gpus_per_site=args.gpus, seed=args.seed, clock=clock
     )
     simulator = FleetSimulator(controller, clock=clock)
     result = simulator.run(args.windows)

@@ -24,6 +24,7 @@ Two "profile sources" wrap this for the scheduler/simulator:
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -195,8 +196,10 @@ class OracleProfileSource(ProfileSource):
         accuracy_error_std: float = 0.0,
         seed: SeedLike = None,
     ) -> None:
-        if accuracy_error_std < 0:
-            raise ProfilingError("accuracy_error_std must be non-negative")
+        if not 0 <= accuracy_error_std < math.inf:
+            raise ProfilingError(
+                f"accuracy_error_std must be finite and non-negative, got {accuracy_error_std}"
+            )
         self._dynamics = dynamics
         self._error_std = accuracy_error_std
         self._rng = ensure_rng(seed)

@@ -24,9 +24,8 @@ Event hierarchy (priority order at equal timestamps, smaller fires first):
    built with ``make_fleet(wan_faults=...)``); at one instant a transfer
    either lands or fails, never both.
 4. :class:`RetrainingComplete` — one stream's in-flight retraining reaches
-   its absolute finish time (only scheduled by fleets built with
-   ``make_fleet(preemptive_sites=True)``).  After arrivals; before pushes
-   and control, so a same-instant rebalance sees the completed model.
+   its absolute finish time.  After arrivals; before pushes and control, so
+   a same-instant rebalance sees the completed model.
 5. :class:`InferenceReconfigured` — a mid-window allocation change: GPUs
    freed by a completed retraining flowed back to inference, or a
    cancellation handed reclaimed capacity to surviving retrainings.
@@ -37,36 +36,39 @@ Event hierarchy (priority order at equal timestamps, smaller fires first):
    After arrivals so a same-instant checkpoint is observed first; before
    control ticks so same-instant admission already sees the pushed curves.
 7. :class:`ControlTick` — admission/rebalancing.
-8. :class:`WindowBoundary` — one site plans (and, for non-preemptive
-   fleets, atomically settles) its next window.
+8. :class:`WindowBoundary` — one site settles its previous window and plans
+   its next.
 
-Migrating from the shared-window-index API (PR 2)
--------------------------------------------------
+One timeline, one site engine
+-----------------------------
 
-The old fleet advanced on one shared integer window index; the calendar
-makes the timeline the spine instead.  Existing code keeps working:
+The calendar is the spine of every run:
 
-* ``FleetSimulator(controller, scenario).run(num_windows)`` is unchanged for
-  fleets whose sites share one ``window_duration``, and reproduces the old
-  engine's :class:`FleetResult` bit for bit under a
-  :class:`~repro.utils.clock.ManualClock`.
-* Window-indexed scenario events — ``FlashCrowd(window=2, ...)``,
-  ``SiteFailure(window=3, recovery_window=5, ...)``,
-  ``WanDegradation(window=1, until_window=4, ...)`` — still work on
-  homogeneous fleets; they are resolved to absolute seconds up front.
+* ``FleetSimulator(controller, scenario).run(num_windows)`` steps fleets
+  whose sites share one ``window_duration`` window by window, and is
+  bit-identical across runs under a :class:`~repro.utils.clock.ManualClock`.
+* **Scenarios name absolute times**: ``FlashCrowd(at_seconds=450.0, ...)``
+  fires mid-window; expiries use ``recovery_at`` / ``until_at``.  To fire
+  at the start of window ``k`` of a fleet on 200 s windows, pass
+  ``at_seconds=k * 200.0``.  Events are validated when built (expiry
+  before trigger, non-finite times) and again at :class:`FleetSimulator`
+  construction (unknown sites), not at fire time.
+* **Event-driven sites**: every site plans each window at its boundary and
+  settles every stream's retraining at its own :class:`RetrainingComplete`
+  event, where the freed GPUs flow back to the stream's inference job
+  (:class:`InferenceReconfigured`).  A mid-window migration or evacuation
+  *cancels* the departing stream's in-flight retraining and reclaims its
+  remaining GPU-seconds for the site's other in-flight retrainings, which
+  finish earlier.  Surfaced as ``retrainings_cancelled`` /
+  ``reclaimed_gpu_seconds`` in :meth:`FleetResult.summary`.
 
-New capabilities, opted into explicitly:
+Capabilities, opted into explicitly:
 
-* **Time-indexed scenarios**: ``FlashCrowd(at_seconds=450.0, ...)`` fires
-  mid-window; expiries use ``recovery_at`` / ``until_at``.  Scenarios are
-  validated at :class:`FleetSimulator` construction (unknown sites, expiry
-  before trigger), not at fire time.
 * **Per-site windows**: give each :class:`SiteSpec` its own
   ``window_duration`` (or pass a sequence to :func:`make_fleet`), then
   drive the fleet with ``run_until(t_end)`` / ``run_for(seconds)`` — each
   returned :class:`FleetWindowResult` covers one cycle of sites whose
-  windows start at the same ``start_seconds``.  Window-indexed scenario
-  events are rejected on such fleets; use ``at_seconds``.
+  windows start at the same ``start_seconds``.
 * **Async control plane**: ``FleetSimulator(..., control_interval=50.0)``
   runs admission/rebalancing on its own cadence, so migrations start
   mid-window and the destination's next window pays only the WAN transfer
@@ -81,15 +83,6 @@ New capabilities, opted into explicitly:
   :meth:`FleetResult.summary`.  ``make_fleet(...,
   profile_decay_half_life=3600.0)`` additionally ages old pushes out of the
   store so warm starts track the current drift regime.
-* **Event-driven site internals**: ``make_fleet(..., preemptive_sites=True)``
-  plans each window at its boundary and settles every stream's retraining
-  at its own :class:`RetrainingComplete` event, so a mid-window migration
-  or evacuation *cancels* the departing stream's in-flight retraining and
-  reclaims its remaining GPU-seconds for the site's other in-flight
-  retrainings (which finish earlier, marked by
-  :class:`InferenceReconfigured` events).  Surfaced as
-  ``retrainings_cancelled`` / ``reclaimed_gpu_seconds`` in
-  :meth:`FleetResult.summary`.
 * **Partial-failure fault model**: ``make_fleet(..., wan_faults=
   WanFaultModel(loss_rate=0.1, seed=7))`` makes checkpoint transfers and
   profile pushes fail in flight (:class:`TransferFailed` events) —
@@ -110,7 +103,7 @@ New capabilities, opted into explicitly:
   expected gain net of WAN transfer cost under the current link and of the
   GPU-seconds a mid-window cancellation would waste — avoids
   transfer-congested destinations, and proactively cancels retrainings
-  that no longer pay on preemptive sites.  Surfaced as ``control_policy``
+  that no longer pay.  Surfaced as ``control_policy``
   / ``control_scans_skipped`` / ``migrations_rejected`` /
   ``proactive_cancellations`` / ``wasted_gpu_seconds`` in
   :meth:`FleetResult.summary`; ``scripts/run_policy_ab.py`` replays

@@ -21,8 +21,7 @@ Event hierarchy (all timestamped in absolute simulated seconds):
   never stale.
 * :class:`ScenarioTrigger` — an injected
   :class:`~repro.fleet.scenarios.Scenario` event fires (flash crowd, site
-  failure, WAN degradation).  Scenarios are time-indexed; the old
-  window-indexed constructors are resolved to absolute seconds up front.
+  failure, WAN degradation, GPU failure) at its absolute ``at_seconds``.
 * :class:`TransferArrival` — a migrating stream's checkpoint + profile
   finishes its WAN transfer.  Replaces PR 2's carryover-delay dict: the
   arrival is an absolute timestamp, so it can land mid-window and a window
@@ -35,9 +34,8 @@ Event hierarchy (all timestamped in absolute simulated seconds):
   budget — the stream restarts cold at its destination; a ``final``
   profile-push failure just drops the batch (no retry).
 * :class:`RetrainingComplete` — one stream's in-flight retraining reaches
-  its absolute finish time (preemptive sites only: fleets built with
-  ``make_fleet(preemptive_sites=True)`` plan each window at its boundary
-  and settle every stream's retraining at its own completion event, so the
+  its absolute finish time (sites plan each window at its boundary and
+  settle every stream's retraining at its own completion event, so the
   control plane can cancel a retraining mid-window).  After transfer
   arrivals (a checkpoint landing at the same instant is observed first) and
   before profile pushes and control ticks — a same-instant rebalance
@@ -207,7 +205,7 @@ class TransferFailed(SimEvent):
 class RetrainingComplete(SimEvent):
     """One stream's in-flight retraining reaches its absolute finish time.
 
-    Scheduled by preemptive sites when a window is planned at its boundary:
+    Scheduled when a site's window is planned at its boundary:
     each stream whose retraining fits the window gets one completion event
     at ``boundary + retraining_duration``.  The handler settles the stream —
     realises its window outcome and commits the retrained model to the

@@ -330,7 +330,6 @@ def run_chaos_trial(
     num_windows: Optional[int] = None,
     window_duration: float = 200.0,
     gpus_per_site: int = 4,
-    preemptive_sites: bool = True,
     profile_sharing: bool = True,
     control_policy: str = "greedy",
 ) -> ChaosReport:
@@ -357,7 +356,6 @@ def run_chaos_trial(
         window_duration=window_duration,
         seed=seed,
         clock=clock,
-        preemptive_sites=preemptive_sites,
         profile_sharing=profile_sharing,
         wan_faults=injector.wan_faults(),
         control_policy=control_policy,

@@ -18,13 +18,11 @@ scheduler keeps optimising its own window locally.  Responsibilities:
   predicted net accuracy profit (see ``docs/control_plane.md``).
 * **Failure handling** — a failed site's streams are force-evacuated to the
   survivors; a recovered site re-enters admission and rebalancing.
-* **Mid-window preemption** (``preemptive_sites=True``) — every migration
-  and evacuation notifies a *departure hook* the fleet simulator installs:
-  if the departing stream has an in-flight retraining at the source site,
-  it is cancelled at the current simulated instant and its remaining
-  GPU-seconds are reclaimed for the site's other in-flight retrainings.
-  With the flag off (the default) sites settle whole windows at their
-  boundary exactly as before, bit for bit.
+* **Mid-window preemption** — every migration and evacuation notifies a
+  *departure hook* the fleet simulator installs: if the departing stream
+  has an in-flight retraining at the source site, it is cancelled at the
+  current simulated instant and its remaining GPU-seconds are reclaimed for
+  the site's other in-flight retrainings.
 
 The controller shares one accuracy-dynamics substrate across all sites, so a
 migrated stream keeps its serving-model state — that is precisely what the
@@ -33,6 +31,7 @@ checkpoint + profile transfer pays for.
 
 from __future__ import annotations
 
+import numbers
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..datasets.generators import make_stream
@@ -65,7 +64,6 @@ class FleetController:
         max_migrations_per_window: int = 4,
         stream_factory: Callable[..., VideoStream] = make_stream,
         profile_sharing: Optional["ProfileSharing"] = None,
-        preemptive_sites: bool = False,
         wan_faults: Optional[WanFaultModel] = None,
         telemetry: Optional["TelemetryConfig"] = None,
         control_policy: Optional[ControlPolicy] = None,
@@ -77,10 +75,18 @@ class FleetController:
         names = [site.name for site in sites]
         if len(set(names)) != len(names):
             raise FleetError("site names must be unique")
-        if overload_factor < 1.0:
-            raise FleetError("overload_factor must be >= 1")
-        if max_migrations_per_window < 0:
-            raise FleetError("max_migrations_per_window must be non-negative")
+        # NaN passes a bare ``< 1`` check and then counts every imbalance as
+        # overload; a fractional cap lets one scan overshoot it.
+        if not overload_factor >= 1.0:
+            raise FleetError(f"overload_factor must be >= 1, got {overload_factor}")
+        if (
+            not isinstance(max_migrations_per_window, numbers.Integral)
+            or max_migrations_per_window < 0
+        ):
+            raise FleetError(
+                "max_migrations_per_window must be a non-negative integer, "
+                f"got {max_migrations_per_window}"
+            )
         self._sites: Dict[str, EdgeSite] = {site.name: site for site in sites}
         self._dynamics = dynamics
         self._admission = admission
@@ -89,7 +95,6 @@ class FleetController:
         self._max_migrations = max_migrations_per_window
         self._stream_factory = stream_factory
         self._profile_sharing = profile_sharing
-        self._preemptive_sites = preemptive_sites
         self._wan_faults = wan_faults
         self._telemetry = telemetry
         self._control_policy = (
@@ -161,20 +166,6 @@ class FleetController:
         return self._profile_sharing
 
     @property
-    def preemptive_sites(self) -> bool:
-        """Whether sites run event-driven internals with mid-window preemption.
-
-        Set by :func:`~repro.fleet.factory.make_fleet` when built with
-        ``preemptive_sites=True``.  The :class:`~repro.fleet.simulator.
-        FleetSimulator` reads this flag: preemptive fleets plan each window
-        at its boundary, settle retrainings at per-stream
-        :class:`~repro.fleet.calendar.RetrainingComplete` events and cancel
-        in-flight retrainings when their stream departs mid-window.  Off by
-        default — the boundary-settled engine is reproduced bit for bit.
-        """
-        return self._preemptive_sites
-
-    @property
     def wan_faults(self) -> Optional[WanFaultModel]:
         """The fleet's WAN loss model, or ``None`` (lossless, the default).
 
@@ -205,8 +196,8 @@ class FleetController:
 
         ``hook(stream_name, source_site, reason)`` is invoked for every
         migration and evacuation, *after* the stream has moved, at the
-        instant the controlling event fires — which is what lets a
-        preemptive simulator cancel the departing stream's in-flight
+        instant the controlling event fires — which is what lets the
+        simulator cancel the departing stream's in-flight
         retraining at the source site and reclaim its remaining
         GPU-seconds.  Pass ``None`` to detach.
         """
@@ -220,8 +211,7 @@ class FleetController:
         ``hook(site_name, stream_name, reason) -> bool`` cancels the named
         stream's in-flight retraining at the site, reclaiming its remaining
         GPU-seconds for the site's other in-flight retrainings, and returns
-        whether anything was actually cancelled.  Installed only by
-        preemptive simulators; without it
+        whether anything was actually cancelled.  Without it
         :meth:`request_cancellation` is a no-op.  Pass ``None`` to detach.
         """
         self._cancellation_hook = hook
@@ -395,9 +385,9 @@ class FleetController:
 
         With ``sanitize=True`` the purity sanitizer digests the shared
         dynamics around the whole scan: a control policy may *move* streams
-        (and a preemptive departure settles the cancelled window, a
-        dynamics no-op), but its scoring/scan phase must never commit
-        accuracy state — that is the predictive plane's plan-phase purity.
+        (and a departure settles the cancelled window, a dynamics no-op),
+        but its scoring/scan phase must never commit accuracy state — that
+        is the predictive plane's plan-phase purity.
         Site and stream state are legitimately mutated by executed
         migrations, so only the dynamics are guarded here.
         """

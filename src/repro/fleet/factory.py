@@ -10,6 +10,7 @@ through this, so fleet experiments are reproducible from (shape, seed) alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -122,12 +123,11 @@ def make_fleet(
     links: Optional[Sequence[NetworkLink]] = None,
     seed: int = 0,
     profiler_error_std: float = DEFAULT_PROFILER_ERROR_STD,
-    verify_placement: bool = True,
     clock: Optional[Clock] = None,
     profile_sharing: bool = False,
     profiling_settings: Optional[MicroProfilerSettings] = None,
     profile_decay_half_life: Optional[float] = None,
-    preemptive_sites: bool = False,
+    preemptive_sites: bool = True,
     wan_faults: Optional[WanFaultModel] = None,
     telemetry: Optional[TelemetryConfig] = None,
     control_policy: Union[str, ControlPolicy] = "greedy",
@@ -176,15 +176,16 @@ def make_fleet(
     over every window ever profiled.  ``None`` (default) keeps every push
     at weight 1.0 forever — the pre-decay behaviour, bit for bit.
 
-    ``preemptive_sites`` turns on event-driven site internals: each window
-    is planned at its boundary and every stream's retraining completion
-    becomes its own :class:`~repro.fleet.calendar.RetrainingComplete` event,
-    so a mid-window migration or evacuation cancels the departing stream's
+    Every site is event-driven: each window is planned at its boundary and
+    every stream's retraining completion becomes its own
+    :class:`~repro.fleet.calendar.RetrainingComplete` event, so a
+    mid-window migration or evacuation cancels the departing stream's
     in-flight retraining, reclaims its remaining GPU-seconds for the site's
     other in-flight retrainings, and the cancellation shows up in
     ``FleetResult.summary()`` (``retrainings_cancelled`` /
-    ``reclaimed_gpu_seconds``).  Off by default — the boundary-settled
-    engine is reproduced bit for bit.
+    ``reclaimed_gpu_seconds``).  ``preemptive_sites`` is accepted only as
+    ``True``, for callers written when the boundary-settled engine still
+    existed; any other value raises :class:`~repro.exceptions.FleetError`.
 
     ``wan_faults`` attaches a :class:`~repro.fleet.faults.WanFaultModel`:
     checkpoint transfers fail in flight with the model's (and the endpoint
@@ -220,10 +221,17 @@ def make_fleet(
     fleet's results are bit-identical to an unsanitized one (gated by the
     golden-parity suite) — but digesting is slow; debug/CI use only.
     """
-    if num_sites < 1:
-        raise FleetError("num_sites must be >= 1")
-    if streams_per_site < 0:
-        raise FleetError("streams_per_site must be non-negative")
+    if not isinstance(num_sites, numbers.Integral) or num_sites < 1:
+        raise FleetError(f"num_sites must be an integer >= 1, got {num_sites}")
+    if not isinstance(streams_per_site, numbers.Integral) or streams_per_site < 0:
+        raise FleetError(
+            f"streams_per_site must be a non-negative integer, got {streams_per_site}"
+        )
+    if preemptive_sites is not True:
+        raise FleetError(
+            f"preemptive_sites={preemptive_sites!r}: the boundary-settled site engine "
+            "was removed and every site is event-driven; drop the keyword"
+        )
     durations = (
         [float(window_duration)]
         if isinstance(window_duration, (int, float))
@@ -282,13 +290,7 @@ def make_fleet(
         clock=clock,
     )
     sites = [
-        EdgeSite(
-            spec,
-            dynamics=dynamics,
-            policy=policy,
-            verify_placement=verify_placement,
-            sanitize=sanitize,
-        )
+        EdgeSite(spec, dynamics=dynamics, policy=policy, sanitize=sanitize)
         for spec in specs
     ]
     if isinstance(admission, str):
@@ -308,7 +310,6 @@ def make_fleet(
         overload_factor=overload_factor,
         max_migrations_per_window=max_migrations_per_window,
         profile_sharing=sharing,
-        preemptive_sites=preemptive_sites,
         wan_faults=wan_faults,
         telemetry=telemetry,
         control_policy=control_policy,

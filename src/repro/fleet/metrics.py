@@ -93,15 +93,15 @@ class SiteWindowStats:
     #: window by warm-starting streams from neighbours' curves.
     profiling_gpu_seconds_saved: float = 0.0
     #: In-flight retrainings cancelled mid-window because their stream
-    #: migrated or was evacuated away (preemptive sites only; 0 otherwise).
+    #: migrated or was evacuated away.
     retrainings_cancelled: int = 0
     #: GPU-seconds of cancelled retrainings' remaining work reclaimed for
-    #: the site's other in-flight retrainings (preemptive sites only).
+    #: the site's other in-flight retrainings.
     reclaimed_gpu_seconds: float = 0.0
     #: GPU-seconds burned on retrainings that never paid: work sunk into
     #: cancelled jobs before their cancellation plus the whole-window burn
-    #: of jobs that never completed inside their window (preemptive sites
-    #: only; 0 otherwise).  The control-plane A/B harness's waste metric.
+    #: of jobs that never completed inside their window.  The control-plane
+    #: A/B harness's waste metric.
     wasted_gpu_seconds: float = 0.0
     #: WAN transfer attempts into/out of this site lost in flight — failed
     #: checkpoint-transfer attempts (charged to the destination) and lost
@@ -244,7 +244,7 @@ class FleetResult:
     #: cleared the policy's predicted-profit bar (predictive policy only).
     migrations_rejected: int = 0
     #: In-flight retrainings the control plane proactively cancelled
-    #: because they no longer paid (predictive policy on preemptive sites).
+    #: because they no longer paid (predictive policy only).
     proactive_cancellations: int = 0
 
     # ----------------------------------------------------------- accuracy

@@ -159,9 +159,9 @@ def run_policy_scenario(
 ) -> Dict[str, object]:
     """Run one scenario under one policy; returns the full summary mapping.
 
-    Builds the fleet fresh (same seed, :class:`ManualClock`, preemptive
-    sites, profile sharing) so repeated calls — and the two arms of an A/B
-    pair — replay the identical event calendar.
+    Builds the fleet fresh (same seed, :class:`ManualClock`, profile
+    sharing) so repeated calls — and the two arms of an A/B pair — replay
+    the identical event calendar.
     """
     # Local import: the policy package must stay importable by the factory,
     # so the harness (which needs the factory) cannot be a package-level
@@ -177,7 +177,6 @@ def run_policy_scenario(
         window_duration=spec.window_duration,
         seed=spec.seed,
         clock=clock,
-        preemptive_sites=True,
         profile_sharing=True,
         control_policy=policy,
     )

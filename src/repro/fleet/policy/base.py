@@ -10,10 +10,10 @@ rebalance` call to its installed policy, so swapping the control plane is a
 
 Policies that set :attr:`ControlPolicy.wants_signals` receive a
 :class:`ControlSignals` snapshot from the fleet simulator at every tick —
-the simulated instant, the in-flight WAN transfer backlog and every
-preemptive site's in-flight retrainings.  The default greedy policy wants
-none of it (``wants_signals = False``), so the default engine builds no
-snapshot and stays bit-identical to the pre-policy controller.
+the simulated instant, the in-flight WAN transfer backlog and every site's
+in-flight retrainings.  The default greedy policy wants none of it
+(``wants_signals = False``), so the default engine builds no snapshot and
+stays bit-identical to the pre-policy controller.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = ["ControlPolicy", "ControlSignals", "InflightRetraining"]
 
 @dataclass(frozen=True)
 class InflightRetraining:
-    """One stream's in-flight retraining at a preemptive site, at tick time.
+    """One stream's in-flight retraining at a site, at tick time.
 
     A snapshot of the fleet simulator's open-window bookkeeping: enough for
     a policy to predict what cancelling (or migrating) the stream would
@@ -89,8 +89,8 @@ class ControlSignals:
     #: Absolute landing time of every in-flight WAN checkpoint transfer,
     #: keyed by stream name — the congestion/backlog signal.
     transfer_arrivals: Mapping[str, float] = field(default_factory=dict)
-    #: ``site -> stream -> InflightRetraining`` for every preemptive site
-    #: with an open (planned, not fully settled) window.
+    #: ``site -> stream -> InflightRetraining`` for every site with an open
+    #: (planned, not fully settled) window.
     inflight: Mapping[str, Mapping[str, InflightRetraining]] = field(
         default_factory=dict
     )

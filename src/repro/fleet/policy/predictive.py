@@ -21,12 +21,12 @@ predicts:
   ``wan_cost_weight`` is below 1 because the transfer is paid once while
   the gain recurs every remaining window the placement persists — the
   weight amortises a one-shot cost over that short horizon.
-* **Cancellation waste** — on preemptive fleets, the GPU-seconds the
-  source site has already sunk into the victim's in-flight retraining,
-  which a mid-window departure would write off.  Victims whose retraining
-  has not started paying (still waiting on a checkpoint) or has already
-  settled carry no such penalty — exactly the "prefer victims whose
-  retraining hasn't started paying or has already settled" rule.
+* **Cancellation waste** — the GPU-seconds the source site has already
+  sunk into the victim's in-flight retraining, which a mid-window
+  departure would write off.  Victims whose retraining has not started
+  paying (still waiting on a checkpoint) or has already settled carry no
+  such penalty — exactly the "prefer victims whose retraining hasn't
+  started paying or has already settled" rule.
 
 Moves whose best profit still does not clear ``min_profit`` are rejected
 (counted as ``migrations_rejected`` in the fleet summary) — the policy
@@ -34,12 +34,12 @@ would rather do nothing than thrash.  Destinations with ``backlog_limit``
 or more checkpoints already in flight toward them are excluded outright:
 migrating into a congested site queues behind its WAN backlog.
 
-Independently of migration, on preemptive fleets the policy proactively
-cancels in-flight retrainings that no longer pay — completion at or past
-the window end (e.g. after a GPU flap rescaled the job), or a remaining
-pay fraction below ``cancellation_pay_threshold`` — whenever the site has
-other accelerable in-flight retrainings to absorb the reclaimed
-GPU-seconds via the plan/settle machinery.
+Independently of migration, the policy proactively cancels in-flight
+retrainings that no longer pay — completion at or past the window end
+(e.g. after a GPU flap rescaled the job), or a remaining pay fraction below
+``cancellation_pay_threshold`` — whenever the site has other accelerable
+in-flight retrainings to absorb the reclaimed GPU-seconds via the
+plan/settle machinery.
 """
 
 from __future__ import annotations

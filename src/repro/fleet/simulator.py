@@ -2,11 +2,10 @@
 
 The :class:`FleetSimulator` is an event loop over an
 :class:`~repro.fleet.calendar.EventCalendar`: window boundaries (per-site,
-so sites may have different ``window_duration`` s), scenario triggers
-(time-indexed, with the window-indexed constructors resolved up front),
-WAN transfer arrivals and control ticks are all first-class timestamped
-events, popped in deterministic ``(time, priority, seq)`` order and
-dispatched to one handler each:
+so sites may have different ``window_duration`` s), scenario triggers (at
+their absolute ``at_seconds``), WAN transfer arrivals and control ticks are
+all first-class timestamped events, popped in deterministic
+``(time, priority, seq)`` order and dispatched to one handler each:
 
 * ``SiteRecovery`` / ``WanRestore`` / ``GpuRecovered`` — a scenario effect
   expires.  Site and WAN effects are ownership-guarded (latest event wins:
@@ -16,8 +15,7 @@ dispatched to one handler each:
 * ``ScenarioTrigger`` — site failures force-evacuate (scheduling one
   ``TransferArrival`` per hop), flash crowds admit, WAN degradations scale
   the link and schedule their own restore, GPU failures shrink the site's
-  effective capacity (a preemptive site rescales its in-flight retrainings
-  mid-window; a boundary-settled one replans at its next boundary).
+  effective capacity and rescale its in-flight retrainings mid-window.
 * ``TransferArrival`` — a migrating checkpoint + profile lands.  Arrivals
   are absolute timestamps, so a transfer can complete mid-window and the
   next window pays only the remaining time; one spanning several windows
@@ -34,19 +32,19 @@ dispatched to one handler each:
   built with ``make_fleet(profile_sharing=True)``).  The arrival paid the
   source site's uplink, so degraded sites contribute stale curves.
 * ``RetrainingComplete`` / ``InferenceReconfigured`` — event-driven site
-  internals (fleets built with ``make_fleet(preemptive_sites=True)``): a
-  window is *planned* at its boundary, each stream's retraining completion
-  becomes its own calendar event at the absolute finish time, and the
-  settle phase runs per stream — at its completion, at the window end, or
-  early as a cancellation when a mid-window migration/evacuation preempts
-  an in-flight retraining and reclaims its remaining GPU-seconds for the
-  site's other in-flight retrainings (which then finish earlier).  Off by
-  default; the boundary-settled engine is reproduced bit for bit.
+  internals: a window is *planned* at its boundary, each stream's
+  retraining completion becomes its own calendar event at the absolute
+  finish time, and the settle phase runs per stream — at its completion
+  (its GPUs then flow back to the stream's inference job), at the window
+  end, or early as a cancellation when a mid-window migration/evacuation
+  preempts an in-flight retraining and reclaims its remaining GPU-seconds
+  for the site's other in-flight retrainings (which then finish earlier).
 * ``ControlTick`` — the controller rebalances.  Ticks coincide with window
   boundaries by default (the PR-2 cadence); pass ``control_interval`` to
   run the control plane on its own cadence, decoupled from windows.
-* ``WindowBoundary`` — the site plans and executes one window through the
-  single-server :class:`~repro.simulation.simulator.Simulator`, with
+* ``WindowBoundary`` — the site settles its previous window and plans the
+  next through the single-server
+  :class:`~repro.simulation.simulator.Simulator`, with
   migrated-in streams' unfinished WAN transfer handed down as a retraining
   start delay.  Every site whose boundary fires at one instant is planned
   as one cohort: each profiles in pop order, then one
@@ -116,7 +114,7 @@ from .telemetry import TelemetryConfig, TelemetryPlane
 
 @dataclass
 class _OpenSiteWindow:
-    """Bookkeeping for one preemptive site window between plan and settle.
+    """Bookkeeping for one site window between plan and settle.
 
     Created at the site's :class:`~repro.fleet.calendar.WindowBoundary`
     (plan phase) and closed when the window fully settles — at its end, or
@@ -138,7 +136,7 @@ class _OpenSiteWindow:
     #: the boundary (profiles are produced during planning).
     profiling: Tuple[float, float]
     #: Migration events charged to each planned stream, popped at plan time
-    #: exactly like the boundary-settled engine attributes them.
+    #: so WAN hops are charged to the window they delay.
     migrations_stash: Dict[str, Tuple[MigrationEvent, ...]]
     #: Absolute completion time per in-flight retraining.
     expected: Dict[str, float] = field(default_factory=dict)
@@ -159,7 +157,7 @@ class _OpenSiteWindow:
     #: GPU-seconds burned on retrainings that never paid: work sunk into a
     #: cancelled job before its cancellation, plus the whole-window burn of
     #: a job that never completed inside its window.  The A/B harness's
-    #: headline waste metric; stays 0.0 on non-preemptive fleets.
+    #: headline waste metric.
     wasted_gpu_seconds: float = 0.0
 
 
@@ -173,8 +171,7 @@ class FleetSimulator:
         ``window_duration`` s; each gets its own ``WindowBoundary`` events.
     scenario:
         Injected events, validated up front: unknown site names raise
-        immediately, and window-indexed events are rejected on
-        heterogeneous-window fleets (use ``at_seconds``).
+        immediately.
     clock:
         Wall-clock source for ``FleetResult.wall_clock_seconds``.
     control_interval:
@@ -182,11 +179,6 @@ class FleetSimulator:
         tick at every distinct window-boundary time — the synchronous PR-2
         control plane.  A positive finite value runs admission/rebalancing
         on its own cadence, so migrations can start mid-window.
-    record_events:
-        Keep every processed event readable via :attr:`event_trace`
-        (default).  The trace is held in the telemetry plane's fixed-size
-        event ring — memory is bounded regardless — so ``False`` is only
-        needed when even the decode cost of reading the trace is unwanted.
     telemetry:
         Sizing of the bounded-memory telemetry plane: a
         :class:`~repro.fleet.telemetry.TelemetryConfig` (or a prebuilt
@@ -203,7 +195,6 @@ class FleetSimulator:
         *,
         clock: Optional[Clock] = None,
         control_interval: Optional[float] = None,
-        record_events: bool = True,
         telemetry: Optional[object] = None,
     ) -> None:
         if control_interval is not None and not 0 < control_interval < math.inf:
@@ -222,7 +213,6 @@ class FleetSimulator:
         self._scenario = scenario or Scenario()
         self._clock = clock
         self._control_interval = control_interval
-        self._record_events = record_events
         if telemetry is None:
             telemetry = controller.telemetry
         if isinstance(telemetry, TelemetryPlane):
@@ -234,19 +224,13 @@ class FleetSimulator:
                 "telemetry must be a TelemetryConfig or TelemetryPlane, "
                 f"got {type(telemetry).__name__}"
             )
-        #: Event-driven site internals: plan windows at their boundary,
-        #: settle retrainings at per-stream RetrainingComplete events and
-        #: cancel in-flight retrainings when their stream departs.
-        self._preemptive = controller.preemptive_sites
-        #: Open (planned, not fully settled) window per preemptive site.
+        #: Open (planned, not fully settled) window per site.  Retrainings
+        #: settle at per-stream RetrainingComplete events, and departures
+        #: cancel in-flight retrainings through the controller's hooks.
         self._open_windows: Dict[str, _OpenSiteWindow] = {}
-        if self._preemptive:
-            controller.set_departure_hook(self._on_stream_departure)
-            controller.set_cancellation_hook(self._on_proactive_cancellation)
-        self._scenario.validate(
-            [site.name for site in controller.sites],
-            require_time_indexed=not controller.homogeneous_windows,
-        )
+        controller.set_departure_hook(self._on_stream_departure)
+        controller.set_cancellation_hook(self._on_proactive_cancellation)
+        self._scenario.validate([site.name for site in controller.sites])
         #: Latest failure / degradation event owning each site's state.
         self._failure_owner: Dict[str, SiteFailure] = {}
         self._wan_owner: Dict[str, WanDegradation] = {}
@@ -453,9 +437,8 @@ class FleetSimulator:
                 "heterogeneous-window fleets must start at window 0 "
                 "(there is no shared window index to offset by)"
             )
-        shared = controller.window_duration if homogeneous else None
         self._start_window = start_window
-        self._start_time = start_window * shared if homogeneous else 0.0
+        self._start_time = start_window * controller.window_duration if homogeneous else 0.0
         self._next_cycle_ordinal = start_window
         self._last_emitted = start_window - 1
         self._horizon = self._start_time
@@ -469,10 +452,9 @@ class FleetSimulator:
         if self._control_interval is not None:
             self._calendar.schedule(ControlTick(time=self._start_time))
         for event in self._scenario.events:
-            fire_at = event.trigger_seconds(shared)
-            if fire_at < self._start_time:
-                continue  # before the simulated range, like events_at() skipped
-            self._calendar.schedule(ScenarioTrigger(time=fire_at, event=event))
+            if event.at_seconds < self._start_time:
+                continue  # before the simulated range
+            self._calendar.schedule(ScenarioTrigger(time=float(event.at_seconds), event=event))
 
     def _site_window_time(self, site: EdgeSite, window_index: int) -> float:
         """Absolute start time of ``site``'s window ``window_index``.
@@ -501,12 +483,12 @@ class FleetSimulator:
     def _advance_until(self, t_end: float) -> None:
         """Pop and dispatch every event strictly before ``t_end``.
 
-        Preemptive fleets additionally settle every open site window whose
-        end lies at or before ``t_end`` once the events are drained: the
-        boundary event *at* a window's end is not popped (it belongs to the
-        next advance), but the window it closes is complete — all its
-        completion events fired strictly before the end — so its remaining
-        streams settle now and the returned results are final.
+        Every open site window whose end lies at or before ``t_end`` is then
+        settled once the events are drained: the boundary event *at* a
+        window's end is not popped (it belongs to the next advance), but the
+        window it closes is complete — all its completion events fired
+        strictly before the end — so its remaining streams settle now and
+        the returned results are final.
         """
         calendar = self._calendar
         while calendar:
@@ -516,8 +498,7 @@ class FleetSimulator:
             if time in self._boundary_times and time > self._cycle_start:
                 self._open_cycle(time)
             event = calendar.pop()
-            if self._record_events:
-                self._telemetry.record_event(event)
+            self._telemetry.record_event(event)
             if isinstance(event, WindowBoundary):
                 # Same-instant boundaries are contiguous at the heap head
                 # (nothing else shares their priority), and every member is
@@ -525,10 +506,9 @@ class FleetSimulator:
                 self._on_boundary_cohort(self._collect_cohort(event))
             else:
                 self._dispatch(event)
-        if self._preemptive:
-            for name in sorted(self._open_windows):
-                if self._open_windows[name].end <= t_end:
-                    self._settle_open_window(name)
+        for name in sorted(self._open_windows):
+            if self._open_windows[name].end <= t_end:
+                self._settle_open_window(name)
 
     def _open_cycle(self, time: float) -> None:
         if self._current is not None:
@@ -594,35 +574,33 @@ class FleetSimulator:
         controller = self._controller
         event = trigger.event
         cycle = self._require_cycle()
-        shared = controller.window_duration if controller.homogeneous_windows else None
         if isinstance(event, SiteFailure):
             migrations = controller.fail_site(event.site, cycle.window_index)
             self._register_migrations(migrations, trigger.time)
             self._failure_owner[event.site] = event
-            recovery = event.recovery_seconds(shared)
-            if recovery is not None:
+            if event.recovery_at is not None:
                 self._calendar.schedule(
-                    SiteRecovery(time=recovery, site=event.site, owner=event)
+                    SiteRecovery(time=float(event.recovery_at), site=event.site, owner=event)
                 )
         elif isinstance(event, WanDegradation):
             controller.site(event.site).degrade_wan(
                 event.uplink_factor, event.downlink_factor
             )
             self._wan_owner[event.site] = event
-            until = event.until_seconds(shared)
-            if until is not None:
+            if event.until_at is not None:
                 self._calendar.schedule(
-                    WanRestore(time=until, site=event.site, owner=event)
+                    WanRestore(time=float(event.until_at), site=event.site, owner=event)
                 )
         elif isinstance(event, GpuFailure):
             site = controller.site(event.site)
             before = site.effective_gpus
             taken = site.degrade_gpus(event.num_gpus)
             if taken:
-                recovery = event.recovery_seconds(shared)
-                if recovery is not None:
+                if event.recovery_at is not None:
                     self._calendar.schedule(
-                        GpuRecovered(time=recovery, site=event.site, num_gpus=taken)
+                        GpuRecovered(
+                            time=float(event.recovery_at), site=event.site, num_gpus=taken
+                        )
                     )
                 self._rescale_site_retrainings(event.site, before, site.effective_gpus)
         elif isinstance(event, FlashCrowd):
@@ -739,15 +717,14 @@ class FleetSimulator:
         """Everything a boundary does *before* planning: settle the previous
         open window, schedule the next boundary, skip failed sites and charge
         pending WAN transfers.  Returns ``None`` when the site skips the
-        window (failed), else the finish phase's inputs."""
+        window (failed), else the plan phase's inputs."""
         controller = self._controller
         site = controller.site(boundary.site)
         cycle = self._require_cycle()
         duration = site.spec.window_duration
-        if self._preemptive:
-            # The previous window must be fully settled (its dynamics
-            # committed) before the next one queries them.
-            self._settle_open_window(site.name)
+        # The previous window must be fully settled (its dynamics committed)
+        # before the next one queries them.
+        self._settle_open_window(site.name)
         self._schedule_boundary(site, boundary.window_index + 1)
         if not site.healthy:
             cycle.failed_sites.append(site.name)
@@ -764,8 +741,7 @@ class FleetSimulator:
             if not isinstance(ahead, WindowBoundary) or ahead.time != first.time:
                 break
             event = calendar.pop()
-            if self._record_events:
-                self._telemetry.record_event(event)
+            self._telemetry.record_event(event)
             cohort.append(event)
         return cohort
 
@@ -775,9 +751,9 @@ class FleetSimulator:
         Each boundary's prepare phase (settle, reschedule, transfer charges)
         and its request build — including every profiling side effect — run
         in pop order; only the pure solves are batched (plans commit
-        nothing, so solving them ahead of the finish phases is
-        unobservable).  Finishes then run in pop order, so events, stats
-        and results land as if each site had planned alone.
+        nothing, so solving them ahead of the plan phases is unobservable).
+        Plan phases then run in pop order, so events, stats and results
+        land as if each site had planned alone.
         """
         prepared: List[
             Tuple[WindowBoundary, EdgeSite, FleetWindowResult, Optional[Dict[str, float]]]
@@ -799,59 +775,9 @@ class FleetSimulator:
         for policy, requests in groups.items():
             schedules.update(policy.solve_cohort(requests))
         for boundary, site, cycle, delays in prepared:
-            self._finish_boundary(
-                boundary, site, cycle, delays, schedules.get(site.name)
-            )
+            self._plan_site_window(site, boundary, cycle, delays, schedules.get(site.name))
 
-    def _finish_boundary(
-        self,
-        boundary: WindowBoundary,
-        site: EdgeSite,
-        cycle: FleetWindowResult,
-        delays: Optional[Dict[str, float]],
-        preplanned: Optional[WindowSchedule],
-    ) -> None:
-        if self._preemptive:
-            self._plan_site_window(site, boundary, cycle, delays, preplanned)
-            return
-        window_result = site.run_window(
-            boundary.window_index, retraining_delays=delays, preplanned=preplanned
-        )
-        if window_result is None:
-            return
-        profiling_cost, profiling_saved = self._share_profiles(site, boundary)
-        failed, retries, wasted = self._pop_fault_counters(site.name)
-        cycle.site_results[site.name] = window_result
-        accuracies = {
-            name: outcome.realized_average_accuracy
-            for name, outcome in window_result.outcomes.items()
-        }
-        self._telemetry.record_site_stats(
-            cycle,
-            site=site.name,
-            num_streams=site.num_streams,
-            utilization=gpu_utilization(
-                window_result.schedule.total_gpu_allocated, site.spec.num_gpus
-            ),
-            allocation_loss=window_result.allocation_loss,
-            mean_accuracy=safe_mean(list(accuracies.values())),
-            scheduler_runtime_seconds=window_result.schedule.scheduler_runtime_seconds,
-            profiling_gpu_seconds=profiling_cost,
-            profiling_gpu_seconds_saved=profiling_saved,
-            transfers_failed=failed,
-            transfer_retries=retries,
-            retry_seconds=wasted,
-        )
-        self._telemetry.observe_streams(boundary.window_index, accuracies)
-        for name, outcome in window_result.outcomes.items():
-            cycle.stream_outcomes[name] = FleetStreamOutcome(
-                stream_name=name,
-                site=site.name,
-                outcome=outcome,
-                migrations=tuple(self._migrated_into.pop(name, ())),
-            )
-
-    # ------------------------------------------------- preemptive internals
+    # ---------------------------------------------------------- site windows
     def _plan_site_window(
         self,
         site: EdgeSite,
@@ -860,16 +786,15 @@ class FleetSimulator:
         delays: Optional[Dict[str, float]],
         preplanned: Optional[WindowSchedule],
     ) -> None:
-        """Plan phase of a preemptive window: schedule, then per-stream events.
+        """Plan phase of a site window: schedule, then per-stream events.
 
-        The cohort's schedule is placed exactly as at a boundary-settled
-        window, but nothing is realised yet: each stream whose retraining fits the
-        window gets a :class:`~repro.fleet.calendar.RetrainingComplete`
-        event at its absolute finish time, and the settle phase runs stream
-        by stream as those events fire (or early, when a departure cancels).
-        Migration attribution is popped here — the same instant the
-        boundary-settled engine pops it — so both engines charge WAN hops
-        to the same window.
+        The cohort's schedule is placed, but nothing is realised yet: each
+        stream whose retraining fits the window gets a
+        :class:`~repro.fleet.calendar.RetrainingComplete` event at its
+        absolute finish time, and the settle phase runs stream by stream as
+        those events fire (or early, when a departure cancels).  Migration
+        attribution is popped here, so WAN hops are charged to the window
+        they delay.
         """
         plan = site.plan_window(
             boundary.window_index, retraining_delays=delays, preplanned=preplanned
@@ -954,9 +879,9 @@ class FleetSimulator:
     def _on_stream_departure(self, stream: str, source: str, reason: str) -> None:
         """A stream migrated or was evacuated away: preempt its retraining.
 
-        Installed as the controller's departure hook on preemptive fleets.
-        Delegates to :meth:`_cancel_inflight_retraining` with the engine's
-        historical ``"retraining_cancelled"`` reconfiguration reason.
+        Installed as the controller's departure hook.  Delegates to
+        :meth:`_cancel_inflight_retraining` with the engine's historical
+        ``"retraining_cancelled"`` reconfiguration reason.
         """
         self._cancel_inflight_retraining(source, stream, "retraining_cancelled")
 
@@ -1079,8 +1004,8 @@ class FleetSimulator:
     def _rescale_site_retrainings(
         self, site_name: str, old_capacity: int, new_capacity: int
     ) -> None:
-        """Replan a preemptive site's in-flight retrainings after a capacity
-        change (``GpuFailure`` / ``GpuRecovered`` mid-window).
+        """Replan a site's in-flight retrainings after a capacity change
+        (``GpuFailure`` / ``GpuRecovered`` mid-window).
 
         Every allocation-driven in-flight retraining keeps its share of the
         machine: its allocation scales by ``new/old`` capacity and its
@@ -1088,12 +1013,9 @@ class FleetSimulator:
         shrink (possibly past the window end, where it settles as not
         completed), earlier on a recovery.  Fixed external completions
         (cloud offload) are untouched.  A shrink to zero cancels everything
-        in flight: with no GPUs there is nothing to finish on.  Boundary-
-        settled sites need none of this — their next plan simply sees the
-        rebuilt, smaller server.
+        in flight: with no GPUs there is nothing to finish on.  The site's
+        next plan then sees the rebuilt server.
         """
-        if not self._preemptive:
-            return
         open_window = self._open_windows.get(site_name)
         if open_window is None:
             return
@@ -1152,17 +1074,6 @@ class FleetSimulator:
                 )
             )
 
-    def _pop_fault_counters(self, site_name: str):
-        """Drain the site's accumulated WAN-fault counters for its stats row.
-
-        Non-preemptive stats are built at the window's *opening* boundary,
-        so faults that fire during window k are attributed to the site's
-        window-(k+1) row; the preemptive engine settles at the closing
-        boundary and attributes them to the window they happened in.
-        """
-        failed, retries, wasted = self._fault_counters.pop(site_name, (0, 0, 0.0))
-        return failed, retries, wasted
-
     def _record_settled(
         self, open_window: _OpenSiteWindow, name: str, outcome: StreamWindowOutcome
     ) -> None:
@@ -1174,7 +1085,7 @@ class FleetSimulator:
         )
 
     def _settle_open_window(self, site_name: str) -> None:
-        """Settle phase of a preemptive window: close out whatever remains.
+        """Settle phase of a site window: close out whatever remains.
 
         Streams whose retraining completed (or was cancelled) are already
         settled; everything else — no retraining planned, or one that never
@@ -1209,10 +1120,11 @@ class FleetSimulator:
         open_window.accelerable.clear()
         result = plan.result
         cost, saved = open_window.profiling
-        failed, retries, wasted = self._pop_fault_counters(site_name)
+        # WAN faults that fired during this window land in its stats row.
+        failed, retries, wasted = self._fault_counters.pop(site_name, (0, 0, 0.0))
         open_window.cycle.site_results[site_name] = result
-        # Plan order, not completion order: the site mean must sum exactly
-        # as the boundary-settled engine's does.
+        # Plan order, not completion order, so the site mean does not depend
+        # on when its streams settled.
         accuracies = {
             name: result.outcomes[name].realized_average_accuracy for name in plan.streams
         }
@@ -1299,10 +1211,7 @@ class FleetSimulator:
         for event in migrations:
             cycle.migrations.append(event)
             self._migrated_into.setdefault(event.stream_name, []).append(event)
-            if self._record_events:
-                self._telemetry.record_event(
-                    MigrationStarted(time=time, migration=event)
-                )
+            self._telemetry.record_event(MigrationStarted(time=time, migration=event))
             departed = max(self._transfer_arrival.get(event.stream_name, time), time)
             if self._wan_faults is None:
                 arrival = departed + event.transfer_seconds

@@ -34,7 +34,7 @@ from ..datasets.stream import VideoStream
 from ..exceptions import FleetError
 from ..profiles.dynamics import StreamDynamics
 from ..core.types import ScheduleRequest, WindowSchedule
-from ..simulation.simulator import Simulator, StreamWindowOutcome, WindowPlan, WindowResult
+from ..simulation.simulator import Simulator, StreamWindowOutcome, WindowPlan
 
 
 @dataclass(frozen=True)
@@ -113,18 +113,11 @@ class EdgeSite:
         *,
         dynamics: StreamDynamics,
         policy: WindowPolicy,
-        verify_placement: bool = True,
         sanitize: bool = False,
     ) -> None:
         self.spec = spec
         self._server = EdgeServer(spec.server_spec(), [], allow_empty=True)
-        self._simulator = Simulator(
-            self._server,
-            dynamics,
-            policy,
-            verify_placement=verify_placement,
-            sanitize=sanitize,
-        )
+        self._simulator = Simulator(self._server, dynamics, policy, sanitize=sanitize)
         self.healthy = True
         self.link = spec.link
         #: Provisioned GPUs currently failed (partial degradation).
@@ -190,71 +183,38 @@ class EdgeSite:
     def prepare_window_request(self, window_index: int) -> Optional[ScheduleRequest]:
         """Build (and profile) one window's scheduling request, unsolved.
 
-        The same idle/failure guards as :meth:`run_window` apply — a site
+        The same idle/failure guards as :meth:`plan_window` apply — a site
         that would skip the window returns ``None`` here too, so the fleet's
         cohort planning asks nothing of a site that would not run.  The
         solved cohort schedule comes back through the ``preplanned``
-        parameter of :meth:`run_window` / :meth:`plan_window`.
+        parameter of :meth:`plan_window`.
         """
         if not self.healthy or self._server.num_streams == 0 or self.effective_gpus < 1:
             return None
         return self._simulator.prepare_request(window_index)
-
-    def run_window(
-        self,
-        window_index: int,
-        *,
-        retraining_delays: Optional[Mapping[str, float]] = None,
-        window_start_seconds: Optional[float] = None,
-        retraining_ready_at: Optional[Mapping[str, float]] = None,
-        preplanned: Optional[WindowSchedule] = None,
-    ) -> Optional[WindowResult]:
-        """Plan and execute one retraining window; ``None`` if idle or failed.
-
-        ``retraining_delays`` carries the WAN transfer time of streams that
-        migrated in at this window's boundary — their retraining cannot start
-        until checkpoint + profile have arrived.  ``retraining_ready_at``
-        expresses the same constraint as absolute simulated times (requires
-        ``window_start_seconds``); see
-        :meth:`repro.simulation.simulator.Simulator.run_window`.
-        ``preplanned`` replaces the policy solve with a cohort's
-        schedule (see :meth:`prepare_window_request`).
-        """
-        if not self.healthy or self._server.num_streams == 0 or self.effective_gpus < 1:
-            return None
-        return self._simulator.run_window(
-            window_index,
-            retraining_delays=retraining_delays,
-            window_start_seconds=window_start_seconds,
-            retraining_ready_at=retraining_ready_at,
-            preplanned=preplanned,
-        )
 
     def plan_window(
         self,
         window_index: int,
         *,
         retraining_delays: Optional[Mapping[str, float]] = None,
-        window_start_seconds: Optional[float] = None,
-        retraining_ready_at: Optional[Mapping[str, float]] = None,
         preplanned: Optional[WindowSchedule] = None,
     ) -> Optional[WindowPlan]:
         """Plan one window without settling it; ``None`` if idle or failed.
 
-        The preemptive half of :meth:`run_window`: the fleet's event loop
-        turns the returned plan's per-stream completion offsets into
-        :class:`~repro.fleet.calendar.RetrainingComplete` events and settles
-        each stream — possibly early, rescheduled, or cancelled — through
-        :meth:`settle_stream` / :meth:`settle_window`.
+        ``retraining_delays`` carries the WAN transfer time of streams that
+        migrated in — their retraining cannot start until checkpoint +
+        profile have arrived.  ``preplanned`` replaces the policy solve with
+        a cohort's schedule (see :meth:`prepare_window_request`).  The
+        fleet's event loop turns the returned plan's per-stream completion
+        offsets into :class:`~repro.fleet.calendar.RetrainingComplete`
+        events and settles each stream — possibly early, rescheduled, or
+        cancelled — through :meth:`settle_stream`.
         """
         if not self.healthy or self._server.num_streams == 0 or self.effective_gpus < 1:
             return None
         return self._simulator.plan_window(
-            window_index,
-            retraining_delays=retraining_delays,
-            window_start_seconds=window_start_seconds,
-            retraining_ready_at=retraining_ready_at,
-            preplanned=preplanned,
+            window_index, retraining_delays=retraining_delays, preplanned=preplanned
         )
 
     def settle_stream(
@@ -267,7 +227,7 @@ class EdgeSite:
     ) -> StreamWindowOutcome:
         """Settle one planned stream (see :meth:`Simulator.settle_stream`).
 
-        The fleet's preemptive event loop settles stream by stream — at
+        The fleet's event loop settles stream by stream — at
         completion events, at cancellations, and for the remainder when the
         window ends — so this per-stream form is the only settle surface a
         site exposes; whole-window settling stays on the single-server

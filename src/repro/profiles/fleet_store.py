@@ -24,6 +24,7 @@ signal unchanged.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ..configs.retraining import RetrainingConfig
@@ -84,8 +85,10 @@ class FleetProfileStore:
     """
 
     def __init__(self, *, decay_half_life: Optional[float] = None) -> None:
-        if decay_half_life is not None and decay_half_life <= 0:
-            raise ProfilingError("decay_half_life must be positive (or None)")
+        if decay_half_life is not None and not 0 < decay_half_life < math.inf:
+            raise ProfilingError(
+                f"decay_half_life must be positive and finite (or None), got {decay_half_life}"
+            )
         self._decay_half_life = decay_half_life
         self._sums: Dict[ProfileKey, Dict[RetrainingConfig, List[float]]] = {}
         self._pushes: Dict[ProfileKey, int] = {}

@@ -80,7 +80,6 @@ class WindowResult:
     outcomes: Dict[str, StreamWindowOutcome] = field(default_factory=dict)
     #: GPU fraction lost to inverse-power-of-two quantisation when the
     #: schedule was packed onto physical devices (``Placement.allocation_loss``).
-    #: 0.0 when placement verification is disabled.
     allocation_loss: float = 0.0
 
     @property
@@ -241,13 +240,11 @@ class Simulator:
         dynamics: StreamDynamics,
         policy: WindowPolicy,
         *,
-        verify_placement: bool = True,
         sanitize: bool = False,
     ) -> None:
         self._server = server
         self._dynamics = dynamics
         self._policy = policy
-        self._verify_placement = verify_placement
         self._sanitizer = None
         if sanitize:
             # Local import: the analysis package is debug tooling layered on
@@ -319,15 +316,13 @@ class Simulator:
         window_index: int,
         *,
         retraining_delays: Optional[Mapping[str, float]] = None,
-        window_start_seconds: Optional[float] = None,
-        retraining_ready_at: Optional[Mapping[str, float]] = None,
         preplanned: Optional[WindowSchedule] = None,
     ) -> WindowResult:
         """Plan and settle a single retraining window atomically.
 
         Equivalent to :meth:`plan_window` immediately followed by
-        :meth:`settle_window` — the whole-window path every non-preemptive
-        caller uses, bit-identical to the pre-split implementation.
+        :meth:`settle_window` — the whole-window path of the single-server
+        simulation.
 
         ``retraining_delays`` maps stream names to seconds their retraining
         cannot start into the window (the fleet layer uses this for the WAN
@@ -335,23 +330,10 @@ class Simulator:
         extends the retraining's wall-clock completion, so a run that no
         longer fits the window realises no benefit *and* is not committed to
         the dynamics — realised accuracy and model state stay consistent.
-
-        ``retraining_ready_at`` is the event-calendar form of the same
-        constraint: absolute simulated times (same axis as
-        ``window_start_seconds``, which it requires) before which a stream's
-        retraining cannot start — e.g. a WAN :class:`~repro.fleet.calendar.
-        TransferArrival` timestamp.  A ready time inside the window delays
-        retraining by only the remaining ``ready - window_start`` seconds;
-        one at or before the window start costs nothing.  Both forms may be
-        given; a stream's delays add up.
         """
         return self.settle_window(
             self.plan_window(
-                window_index,
-                retraining_delays=retraining_delays,
-                window_start_seconds=window_start_seconds,
-                retraining_ready_at=retraining_ready_at,
-                preplanned=preplanned,
+                window_index, retraining_delays=retraining_delays, preplanned=preplanned
             )
         )
 
@@ -360,8 +342,6 @@ class Simulator:
         window_index: int,
         *,
         retraining_delays: Optional[Mapping[str, float]] = None,
-        window_start_seconds: Optional[float] = None,
-        retraining_ready_at: Optional[Mapping[str, float]] = None,
         preplanned: Optional[WindowSchedule] = None,
     ) -> WindowPlan:
         """Plan one window without realising any outcome.
@@ -374,7 +354,7 @@ class Simulator:
         in :meth:`settle_stream`, which may fire early (at the completion
         event), with a new completion time (reclaimed capacity accelerated
         the retraining) or as a cancellation (the stream migrated away).
-        Delay parameters are shared with :meth:`run_window`.
+        ``retraining_delays`` is as in :meth:`run_window`.
 
         ``preplanned`` short-circuits the policy call with a schedule
         already solved for this exact window — the fleet's cohort planning
@@ -392,11 +372,7 @@ class Simulator:
         """
         with self._guarded(f"plan_window({window_index})"):
             return self._plan_window(
-                window_index,
-                retraining_delays=retraining_delays,
-                window_start_seconds=window_start_seconds,
-                retraining_ready_at=retraining_ready_at,
-                preplanned=preplanned,
+                window_index, retraining_delays=retraining_delays, preplanned=preplanned
             )
 
     def _plan_window(
@@ -404,24 +380,10 @@ class Simulator:
         window_index: int,
         *,
         retraining_delays: Optional[Mapping[str, float]] = None,
-        window_start_seconds: Optional[float] = None,
-        retraining_ready_at: Optional[Mapping[str, float]] = None,
         preplanned: Optional[WindowSchedule] = None,
     ) -> WindowPlan:
         spec = self._server.spec
         streams = self._server.streams
-        if retraining_ready_at:
-            if window_start_seconds is None:
-                raise SimulationError(
-                    "retraining_ready_at needs window_start_seconds to anchor "
-                    "absolute ready times to this window"
-                )
-            combined = dict(retraining_delays or {})
-            for name, ready in retraining_ready_at.items():
-                remaining = ready - window_start_seconds
-                if remaining > 0:
-                    combined[name] = combined.get(name, 0.0) + remaining
-            retraining_delays = combined
         if preplanned is not None:
             if preplanned.window_index != window_index:
                 raise SimulationError(
@@ -431,12 +393,9 @@ class Simulator:
             schedule = preplanned
         else:
             schedule = self._policy.plan_window(streams, window_index, spec)
-        allocation_loss = 0.0
-        if self._verify_placement:
-            # The schedule must be physically placeable onto the GPUs after
-            # quantisation; raises PlacementError otherwise.
-            placement = place_jobs(schedule.allocation_map(), self._server.fleet)
-            allocation_loss = placement.allocation_loss()
+        # The schedule must be physically placeable onto the GPUs after
+        # quantisation; raises PlacementError otherwise.
+        placement = place_jobs(schedule.allocation_map(), self._server.fleet)
 
         plan = WindowPlan(
             window_index=window_index,
@@ -445,7 +404,7 @@ class Simulator:
             result=WindowResult(
                 window_index=window_index,
                 schedule=schedule,
-                allocation_loss=allocation_loss,
+                allocation_loss=placement.allocation_loss(),
             ),
         )
         for stream in streams:
@@ -515,7 +474,7 @@ class Simulator:
           state is committed, and the planned retraining benefit is lost.
 
         Settling a stream twice is an error — the caller (the fleet's
-        preemptive event loop) owns exactly-once delivery.
+        event loop) owns exactly-once delivery.
         """
         planned = plan.streams.get(stream_name)
         if planned is None:

@@ -50,7 +50,6 @@ class TestChaosSweep:
             window_duration=200.0,
             seed=3,
             clock=clock,
-            preemptive_sites=True,
             profile_sharing=True,
             wan_faults=None,
         )

@@ -128,15 +128,6 @@ class TestExportMetrics:
             float(value)  # every sample value parses as a number
         assert any(line.startswith("ekya_fleet_mean_accuracy ") for line in samples)
 
-    def test_preemptive_flag_accepted(self):
-        proc = run_script(
-            "export_metrics.py",
-            "--sites", "1", "--streams", "1", "--gpus", "1", "--windows", "1",
-            "--preemptive",
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "ekya_fleet_" in proc.stdout
-
     def test_unknown_flag_exits_2(self):
         proc = run_script("export_metrics.py", "--sites", "1", "--turbo")
         assert proc.returncode == 2

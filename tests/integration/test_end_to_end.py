@@ -114,8 +114,8 @@ class TestAnalyticPipeline:
             assert 0.3 < result.mean_accuracy <= 1.0
 
     def test_every_window_schedule_is_placeable(self):
-        # verify_placement=True (default) raises if a schedule cannot be
-        # packed onto physical GPUs; running without error is the assertion.
+        # Placement verification raises if a schedule cannot be packed onto
+        # physical GPUs; running without error is the assertion.
         result = run_experiment("ekya", num_streams=10, num_gpus=3, num_windows=4, seed=3)
         assert len(result.windows) == 4
 

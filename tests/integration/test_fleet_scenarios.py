@@ -32,6 +32,9 @@ from repro.fleet import (
 from repro.utils.clock import ManualClock
 
 SEED = 0
+#: ``make_fleet``'s default window duration: ``k * WINDOW`` is the start of
+#: window ``k``.
+WINDOW = 200.0
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "fleet_parity_golden.json"
 
 
@@ -69,7 +72,7 @@ class TestFleetEndToEnd:
         assert 0.0 < result.worst_stream_accuracy(10.0) <= result.mean_accuracy + 1e-9
 
     def test_fleet_run_is_deterministic(self):
-        events = [SiteFailure(window=2, site="site-0", recovery_window=4)]
+        events = [SiteFailure(at_seconds=2 * WINDOW, site="site-0", recovery_at=4 * WINDOW)]
         first = _run(events)
         second = _run(events)
         assert first.mean_accuracy == second.mean_accuracy
@@ -85,7 +88,7 @@ class TestSiteFailure:
 
     def test_evacuated_streams_recover_within_two_windows(self):
         """The acceptance scenario: dip at migration, recovery by +2 windows."""
-        failed = _run([SiteFailure(window=self.FAIL_WINDOW, site="site-0")])
+        failed = _run([SiteFailure(at_seconds=self.FAIL_WINDOW * WINDOW, site="site-0")])
         counterfactual = _run([])
 
         evacuated = sorted(
@@ -118,7 +121,9 @@ class TestSiteFailure:
         assert recovery < deficit[self.FAIL_WINDOW] / 2.0
 
     def test_failed_site_serves_nothing_until_recovery(self):
-        result = _run([SiteFailure(window=2, site="site-1", recovery_window=4)])
+        result = _run(
+            [SiteFailure(at_seconds=2 * WINDOW, site="site-1", recovery_at=4 * WINDOW)]
+        )
         for window in result.windows:
             if 2 <= window.window_index < 4:
                 assert "site-1" in window.failed_sites
@@ -130,7 +135,7 @@ class TestSiteFailure:
             assert window.num_streams == 6
 
     def test_evacuation_pays_migration_cost(self):
-        result = _run([SiteFailure(window=2, site="site-0")])
+        result = _run([SiteFailure(at_seconds=2 * WINDOW, site="site-0")])
         migration_window = result.windows[2]
         assert migration_window.migrations
         for event in migration_window.migrations:
@@ -149,7 +154,9 @@ class TestSiteFailure:
 
 class TestFlashCrowd:
     def test_burst_streams_are_admitted_and_served(self):
-        result = _run([FlashCrowd(window=2, num_streams=5, dataset="urban_traffic")])
+        result = _run(
+            [FlashCrowd(at_seconds=2 * WINDOW, num_streams=5, dataset="urban_traffic")]
+        )
         assert result.windows[1].num_streams == 6
         assert result.windows[2].admitted_streams
         for window in result.windows[2:]:
@@ -158,7 +165,7 @@ class TestFlashCrowd:
 
     def test_pinned_burst_lands_on_named_site_then_rebalances(self):
         result = _run(
-            [FlashCrowd(window=1, num_streams=8, dataset="waymo", site="site-0")],
+            [FlashCrowd(at_seconds=WINDOW, num_streams=8, dataset="waymo", site="site-0")],
             gpus_per_site=1,
         )
         boundary = result.windows[1]
@@ -178,10 +185,10 @@ class TestFlashCrowd:
 class TestWanDegradation:
     def test_degraded_site_pays_more_per_migration(self):
         events_degraded = [
-            WanDegradation(window=1, site="site-0", uplink_factor=0.1),
-            SiteFailure(window=2, site="site-0"),
+            WanDegradation(at_seconds=WINDOW, site="site-0", uplink_factor=0.1),
+            SiteFailure(at_seconds=2 * WINDOW, site="site-0"),
         ]
-        events_clean = [SiteFailure(window=2, site="site-0")]
+        events_clean = [SiteFailure(at_seconds=2 * WINDOW, site="site-0")]
         degraded = _run(events_degraded)
         clean = _run(events_clean)
         degraded_cost = degraded.windows[2].migration_seconds
@@ -194,8 +201,8 @@ class TestWanDegradation:
         events = [
             # Uplink cut to 1%: the ~400 Mbit checkpoint takes far longer
             # than one 200 s window to leave the failing site.
-            WanDegradation(window=1, site="site-0", uplink_factor=0.01),
-            SiteFailure(window=2, site="site-0"),
+            WanDegradation(at_seconds=WINDOW, site="site-0", uplink_factor=0.01),
+            SiteFailure(at_seconds=2 * WINDOW, site="site-0"),
         ]
         result = _run(events, num_windows=5)
         evacuated = {
@@ -225,7 +232,7 @@ class TestWanDegradation:
             Scenario(
                 events=[
                     WanDegradation(
-                        window=1, site="site-0", uplink_factor=0.5, until_window=3
+                        at_seconds=WINDOW, site="site-0", uplink_factor=0.5, until_at=3 * WINDOW
                     )
                 ]
             ),
@@ -251,8 +258,15 @@ class TestWanDegradation:
             controller,
             Scenario(
                 events=[
-                    WanDegradation(window=1, site="site-0", uplink_factor=0.1, until_window=2),
-                    WanDegradation(window=2, site="site-0", uplink_factor=0.5, until_window=5),
+                    WanDegradation(
+                        at_seconds=WINDOW, site="site-0", uplink_factor=0.1, until_at=2 * WINDOW
+                    ),
+                    WanDegradation(
+                        at_seconds=2 * WINDOW,
+                        site="site-0",
+                        uplink_factor=0.5,
+                        until_at=5 * WINDOW,
+                    ),
                 ]
             ),
         )
@@ -272,8 +286,8 @@ class TestWanDegradation:
         """A second failure while down must push recovery out, not pull it in."""
         result = _run(
             [
-                SiteFailure(window=1, site="site-0", recovery_window=3),
-                SiteFailure(window=2, site="site-0", recovery_window=5),
+                SiteFailure(at_seconds=WINDOW, site="site-0", recovery_at=3 * WINDOW),
+                SiteFailure(at_seconds=2 * WINDOW, site="site-0", recovery_at=5 * WINDOW),
             ],
             num_windows=6,
         )
@@ -283,11 +297,11 @@ class TestWanDegradation:
 
     def test_invalid_scenarios_rejected(self):
         with pytest.raises(FleetError):
-            SiteFailure(window=3, site="s", recovery_window=3)
+            SiteFailure(at_seconds=3 * WINDOW, site="s", recovery_at=3 * WINDOW)
         with pytest.raises(FleetError):
-            WanDegradation(window=1, site="s", uplink_factor=0.0)
+            WanDegradation(at_seconds=WINDOW, site="s", uplink_factor=0.0)
         with pytest.raises(FleetError):
-            FlashCrowd(window=0, num_streams=0)
+            FlashCrowd(at_seconds=0.0, num_streams=0)
 
 
 class TestEngineParity:
@@ -303,22 +317,24 @@ class TestEngineParity:
     def golden_scenario(self):
         return Scenario(
             events=[
-                WanDegradation(window=1, site="site-0", uplink_factor=0.02, until_window=6),
-                FlashCrowd(window=2, num_streams=3, dataset="urban_traffic"),
-                SiteFailure(window=3, site="site-0", recovery_window=5),
-                WanDegradation(window=4, site="site-2", uplink_factor=0.3, until_window=6),
+                WanDegradation(
+                    at_seconds=WINDOW, site="site-0", uplink_factor=0.02, until_at=6 * WINDOW
+                ),
+                FlashCrowd(at_seconds=2 * WINDOW, num_streams=3, dataset="urban_traffic"),
+                SiteFailure(at_seconds=3 * WINDOW, site="site-0", recovery_at=5 * WINDOW),
+                WanDegradation(
+                    at_seconds=4 * WINDOW, site="site-2", uplink_factor=0.3, until_at=6 * WINDOW
+                ),
             ]
         )
 
-    @pytest.mark.parametrize("preemptive", [False, True], ids=["boundary", "preemptive"])
-    def test_run_reproduces_pr2_fleet_result_bit_identically(self, preemptive):
-        """Both site modes: preemptive sites settle stream by stream, yet sum
-        each site's mean in plan order, so every value matches."""
+    def test_run_reproduces_pr2_fleet_result_bit_identically(self):
+        """Sites settle stream by stream, yet sum each site's mean in plan
+        order, so every value matches."""
         golden = json.loads(GOLDEN_PATH.read_text())
         clock = ManualClock()
         controller = make_fleet(
-            3, 2, gpus_per_site=2, admission="least_loaded", seed=0, clock=clock,
-            preemptive_sites=preemptive,
+            3, 2, gpus_per_site=2, admission="least_loaded", seed=0, clock=clock
         )
         result = FleetSimulator(controller, self.golden_scenario(), clock=clock).run(7)
 
@@ -505,15 +521,6 @@ class TestHeterogeneousWindows:
         with pytest.raises(FleetError):
             simulator.run_window(0)
 
-    def test_window_indexed_events_are_rejected_up_front(self):
-        controller = make_fleet(2, 1, gpus_per_site=2, window_duration=[150.0, 200.0])
-        with pytest.raises(FleetError):
-            FleetSimulator(controller, Scenario(events=[SiteFailure(window=1, site="site-0")]))
-        # Time-indexed events are fine on the same fleet.
-        FleetSimulator(
-            controller, Scenario(events=[SiteFailure(at_seconds=150.0, site="site-0")])
-        )
-
 
 class TestTransferArrivalSemantics:
     """WAN transfers are absolute-time events; windows pay remaining time."""
@@ -581,9 +588,9 @@ class TestTransferArrivalSemantics:
         controller = make_fleet(3, 2, gpus_per_site=2, seed=SEED)
         scenario = Scenario(
             events=[
-                WanDegradation(window=1, site="site-0", uplink_factor=0.06),
-                SiteFailure(window=2, site="site-0"),
-                SiteFailure(window=2, site="site-1"),
+                WanDegradation(at_seconds=WINDOW, site="site-0", uplink_factor=0.06),
+                SiteFailure(at_seconds=2 * WINDOW, site="site-0"),
+                SiteFailure(at_seconds=2 * WINDOW, site="site-1"),
             ]
         )
         result = FleetSimulator(controller, scenario, clock=ManualClock()).run(7)
@@ -686,7 +693,7 @@ class TestAsyncControlPlane:
 
     def test_default_cadence_matches_window_boundaries(self):
         controller = make_fleet(2, 2, gpus_per_site=1, seed=SEED)
-        scenario = Scenario(events=[FlashCrowd(window=1, num_streams=8, site="site-0")])
+        scenario = Scenario(events=[FlashCrowd(at_seconds=WINDOW, num_streams=8, site="site-0")])
         simulator = FleetSimulator(controller, scenario, clock=ManualClock())
         simulator.run(3)
         boundary_times = {
@@ -706,25 +713,24 @@ class TestScenarioValidationUpFront:
     def test_unknown_site_rejected_at_construction(self):
         controller = make_fleet(2, 1, gpus_per_site=2, seed=SEED)
         for event in (
-            SiteFailure(window=1, site="site-9"),
-            WanDegradation(window=1, site="nope", uplink_factor=0.5),
-            FlashCrowd(window=1, num_streams=2, site="site-9"),
+            SiteFailure(at_seconds=WINDOW, site="site-9"),
+            WanDegradation(at_seconds=WINDOW, site="nope", uplink_factor=0.5),
+            FlashCrowd(at_seconds=WINDOW, num_streams=2, site="site-9"),
         ):
             with pytest.raises(FleetError, match="unknown site"):
                 FleetSimulator(controller, Scenario(events=[event]))
 
     def test_trigger_indexing_is_exclusive(self):
-        with pytest.raises(FleetError):
-            SiteFailure(site="s")  # neither window nor at_seconds
-        with pytest.raises(FleetError):
-            SiteFailure(window=1, at_seconds=100.0, site="s")
+        """``at_seconds`` is the only trigger, and it is required."""
+        with pytest.raises(FleetError, match="at_seconds"):
+            SiteFailure(site="s")
         with pytest.raises(FleetError):
             FlashCrowd(at_seconds=-1.0, num_streams=1)
+        with pytest.raises(TypeError):
+            SiteFailure(window=1, site="s")
 
     def test_expiry_must_match_trigger_indexing_and_follow_it(self):
-        with pytest.raises(FleetError):
-            SiteFailure(window=1, site="s", recovery_at=500.0)
-        with pytest.raises(FleetError):
+        with pytest.raises(TypeError):
             SiteFailure(at_seconds=100.0, site="s", recovery_window=3)
         with pytest.raises(FleetError):
             SiteFailure(at_seconds=100.0, site="s", recovery_at=100.0)
@@ -759,7 +765,7 @@ class TestProfileSharing:
             profile_sharing=profile_sharing,
         )
         scenario = Scenario(
-            events=[FlashCrowd(window=2, num_streams=2, dataset="cityscapes")]
+            events=[FlashCrowd(at_seconds=2 * WINDOW, num_streams=2, dataset="cityscapes")]
         )
         simulator = FleetSimulator(controller, scenario)
         return simulator, simulator.run(num_windows)
@@ -822,7 +828,7 @@ class TestProfileSharing:
 
         healthy = arrival_of_first_push([])
         degraded = arrival_of_first_push(
-            [WanDegradation(window=0, site="site-0", uplink_factor=0.05)]
+            [WanDegradation(at_seconds=0.0, site="site-0", uplink_factor=0.05)]
         )
         assert degraded > healthy
 
@@ -845,7 +851,9 @@ class TestProfileSharing:
         controller = make_fleet(2, 3, gpus_per_site=2, seed=SEED)
         explicit_off = FleetSimulator(
             controller,
-            Scenario(events=[FlashCrowd(window=2, num_streams=2, dataset="cityscapes")]),
+            Scenario(
+                events=[FlashCrowd(at_seconds=2 * WINDOW, num_streams=2, dataset="cityscapes")]
+            ),
         ).run(4)
         assert default_run.mean_accuracy == explicit_off.mean_accuracy
         assert default_run.worst_stream_accuracy(10.0) == explicit_off.worst_stream_accuracy(10.0)
@@ -864,7 +872,7 @@ class TestProfileSharing:
         policy = controller.admission_policy
         assert policy.name == "accuracy-greedy"
         scenario = Scenario(
-            events=[FlashCrowd(window=2, num_streams=2, dataset="cityscapes")]
+            events=[FlashCrowd(at_seconds=2 * WINDOW, num_streams=2, dataset="cityscapes")]
         )
         result = FleetSimulator(controller, scenario).run(4)
         # The flash crowd was placed and served; scoring went through the
@@ -875,11 +883,9 @@ class TestProfileSharing:
 
 class TestPreemptiveSiteFailure:
     """The acceptance scenario for event-driven site internals: a site fails
-    *while retrainings are in flight*.  With ``preemptive_sites=True`` the
-    evacuation cancels those retrainings mid-window — the evacuees keep
-    their stale models and the remaining GPU-seconds show up as reclaimed —
-    while the default boundary-settled engine, which realised the whole
-    window at its start, reports no cancellations for the same timeline.
+    *while retrainings are in flight*.  The evacuation cancels those
+    retrainings mid-window — the evacuees keep their stale models and the
+    remaining GPU-seconds show up as reclaimed.
     """
 
     #: Ten seconds into window 1 of 200 s windows: retrainings planned at
@@ -891,15 +897,13 @@ class TestPreemptiveSiteFailure:
             events=[SiteFailure(at_seconds=self.FAIL_AT, site="site-0", recovery_at=800.0)]
         )
 
-    def _run(self, *, preemptive):
-        controller = make_fleet(
-            3, 4, gpus_per_site=2, seed=SEED, preemptive_sites=preemptive
-        )
+    def _run(self):
+        controller = make_fleet(3, 4, gpus_per_site=2, seed=SEED)
         simulator = FleetSimulator(controller, self._scenario())
         return simulator, simulator.run(5)
 
     def test_failure_during_retraining_cancels_and_reclaims(self):
-        simulator, result = self._run(preemptive=True)
+        simulator, result = self._run()
         summary = result.summary()
         assert summary["retrainings_cancelled"] >= 1
         assert summary["reclaimed_gpu_seconds"] > 0.0
@@ -915,11 +919,17 @@ class TestPreemptiveSiteFailure:
             if outcome.site == "site-0" and not outcome.outcome.retraining_completed
         ]
         assert len(cancelled) >= stats.retrainings_cancelled
+        # The failure evacuates the site's streams as well as cancelling.
+        assert any(
+            event.reason == "evacuation"
+            for window in result.windows
+            for event in window.migrations
+        )
 
     def test_preemption_events_ride_the_calendar(self):
         from repro.fleet import InferenceReconfigured, RetrainingComplete
 
-        simulator, _ = self._run(preemptive=True)
+        simulator, _ = self._run()
         trace = simulator.event_trace
         assert any(isinstance(event, RetrainingComplete) for event in trace)
         reasons = {
@@ -929,19 +939,6 @@ class TestPreemptiveSiteFailure:
         }
         assert "retraining_cancelled" in reasons
         assert "retraining_complete" in reasons
-
-    def test_boundary_engine_sees_the_same_timeline_without_preemption(self):
-        _, result = self._run(preemptive=False)
-        summary = result.summary()
-        assert summary["retrainings_cancelled"] == 0
-        assert summary["reclaimed_gpu_seconds"] == 0.0
-        # The same failure still evacuates streams; only the mid-window
-        # cancellation semantics differ.
-        assert any(
-            event.reason == "evacuation"
-            for window in result.windows
-            for event in window.migrations
-        )
 
 
 class TestFailureOwnerReentrancy:

@@ -35,28 +35,34 @@ from repro.fleet.chaos import ChaosInjector, check_invariants
 from repro.profiles import AnalyticDynamics
 from repro.utils.clock import ManualClock
 
+#: ``make_fleet``'s default window duration: ``k * WINDOW`` is the start of
+#: window ``k``.
+WINDOW = 200.0
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / "fleet_parity_golden.json"
 
 
 def golden_scenario():
     return Scenario(
         events=[
-            WanDegradation(window=1, site="site-0", uplink_factor=0.02, until_window=6),
-            FlashCrowd(window=2, num_streams=3, dataset="urban_traffic"),
-            SiteFailure(window=3, site="site-0", recovery_window=5),
-            WanDegradation(window=4, site="site-2", uplink_factor=0.3, until_window=6),
+            WanDegradation(
+                at_seconds=WINDOW, site="site-0", uplink_factor=0.02, until_at=6 * WINDOW
+            ),
+            FlashCrowd(at_seconds=2 * WINDOW, num_streams=3, dataset="urban_traffic"),
+            SiteFailure(at_seconds=3 * WINDOW, site="site-0", recovery_at=5 * WINDOW),
+            WanDegradation(
+                at_seconds=4 * WINDOW, site="site-2", uplink_factor=0.3, until_at=6 * WINDOW
+            ),
         ]
     )
 
 
 class TestSanitizedGoldenParity:
-    @pytest.mark.parametrize("preemptive", [False, True], ids=["boundary", "preemptive"])
-    def test_sanitized_run_reproduces_the_golden_result_bit_identically(self, preemptive):
+    def test_sanitized_run_reproduces_the_golden_result_bit_identically(self):
         golden = json.loads(GOLDEN_PATH.read_text())
         clock = ManualClock()
         controller = make_fleet(
             3, 2, gpus_per_site=2, admission="least_loaded", seed=0, clock=clock,
-            sanitize=True, preemptive_sites=preemptive,
+            sanitize=True,
         )
         result = FleetSimulator(controller, golden_scenario(), clock=clock).run(7)
 
@@ -97,11 +103,10 @@ class TestSanitizedGoldenParity:
         assert controller._sanitizer.checks > 0
 
     def test_sanitized_preemptive_predictive_run_completes_clean(self):
-        """The widest engine surface: preemptive sites + predictive policy."""
+        """The widest engine surface: profile sharing + predictive policy."""
         clock = ManualClock()
         controller = make_fleet(
-            3, 2, gpus_per_site=2, seed=0, clock=clock,
-            preemptive_sites=True, profile_sharing=True,
+            3, 2, gpus_per_site=2, seed=0, clock=clock, profile_sharing=True,
             control_policy="predictive", sanitize=True,
         )
         result = FleetSimulator(controller, golden_scenario(), clock=clock).run(5)
@@ -116,7 +121,7 @@ def run_chaos_fleet(seed, *, sanitize):
     injector = ChaosInjector(seed, intensity=1.5)
     clock = ManualClock()
     controller = make_fleet(
-        6, 12, gpus_per_site=4, preemptive_sites=True, profile_sharing=True,
+        6, 12, gpus_per_site=4, profile_sharing=True,
         wan_faults=injector.wan_faults(), control_policy="predictive", seed=seed,
         clock=clock, sanitize=sanitize,
     )

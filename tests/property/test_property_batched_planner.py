@@ -7,7 +7,7 @@ PickConfigs-evaluation counters and estimated accuracies to
 :class:`~repro.core.ThiefScheduler` on any request.  The scalar thief is the
 reference oracle — these properties fuzz randomized problems (fleet shapes,
 pruned grids, degraded sites, empty sites, hand-built accuracy landscapes,
-preemptive mode, row blocks, prefix columns) and compare the two paths field
+row blocks, prefix columns) and compare the two paths field
 by field with ``==``, never with tolerances.
 """
 
@@ -328,15 +328,14 @@ class TestRandomizedFleets:
         streams_per_site=st.integers(min_value=0, max_value=3),
         gpus_per_site=st.integers(min_value=1, max_value=3),
         seed=st.integers(min_value=0, max_value=1_000),
-        preemptive=st.booleans(),
         degrade=st.booleans(),
     )
     def test_fleet_summaries_bit_identical(
-        self, num_sites, streams_per_site, gpus_per_site, seed, preemptive, degrade
+        self, num_sites, streams_per_site, gpus_per_site, seed, degrade
     ):
-        """Randomized fleets — including empty sites (``streams_per_site=0``),
-        degraded GPUs and preemptive site internals — summarize identically
-        whether the cohort is solved batched or by the scalar oracle."""
+        """Randomized fleets — including empty sites (``streams_per_site=0``)
+        and degraded GPUs — summarize identically whether the cohort is
+        solved batched or by the scalar oracle."""
         summaries = {}
         windows = {}
         for planner in ("oracle", "batched"):
@@ -346,7 +345,6 @@ class TestRandomizedFleets:
                 streams_per_site,
                 gpus_per_site=gpus_per_site,
                 seed=seed,
-                preemptive_sites=preemptive,
             )
             if degrade and gpus_per_site > 1:
                 controller.sites[0].degrade_gpus(1)

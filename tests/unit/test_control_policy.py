@@ -134,9 +134,7 @@ class TestPredictivePolicy:
     def test_all_negative_profit_rejects_the_scan(self):
         """An unclearable min_profit: no migrations, counted rejections."""
         policy = PredictiveProfitPolicy(min_profit=1000.0)
-        controller, result = _run(
-            policy, preemptive_sites=True, profile_sharing=True
-        )
+        controller, result = _run(policy, profile_sharing=True)
         summary = result.summary()
         assert summary["migration_count"] == 0
         assert summary["migrations_rejected"] > 0
@@ -145,9 +143,7 @@ class TestPredictivePolicy:
         )
 
     def test_migrations_carry_the_predictive_reason(self):
-        _, result = _run(
-            PredictiveProfitPolicy(), preemptive_sites=True, profile_sharing=True
-        )
+        _, result = _run(PredictiveProfitPolicy(), profile_sharing=True)
         summary = result.summary()
         assert summary["control_policy"] == "predictive"
         assert summary["migration_count"] > 0
@@ -166,14 +162,13 @@ class TestDepartureAndCancellationHooks:
             gpus_per_site=2,
             seed=SEED,
             clock=clock,
-            preemptive_sites=True,
             profile_sharing=True,
             control_policy="predictive",
         )
         simulator = FleetSimulator(controller, BURST, clock=clock, control_interval=50.0)
         calls = []
         inner = controller._departure_hook
-        assert inner is not None, "preemptive simulators install the hook"
+        assert inner is not None, "simulators install the hook"
         controller.set_departure_hook(
             lambda stream, source, reason: (
                 calls.append((stream, source, reason)),

@@ -29,7 +29,9 @@ class TestDocumentation:
         assert readme.exists()
         text = readme.read_text(encoding="utf-8")
         assert ">>> from repro.fleet import" in text, "quickstart must be a doctest"
-        assert "preemptive_sites=True" in text
+        assert 'outage.summary()["retrainings_cancelled"] >= 1' in text, (
+            "the README must show a mid-window preemption"
+        )
 
     def test_readme_quickstart_executes(self):
         """The README's fenced examples run exactly as printed."""

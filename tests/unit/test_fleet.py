@@ -104,7 +104,7 @@ class TestEdgeSite:
         site = controller.site("site-0")
         assert site.healthy and site.load == pytest.approx(0.5)
         site.fail()
-        assert site.run_window(0) is None
+        assert site.plan_window(0) is None
         with pytest.raises(FleetError):
             site.attach(make_stream("waymo", 0, seed=0))
         site.recover()
@@ -120,7 +120,7 @@ class TestEdgeSite:
 
     def test_empty_site_is_idle(self):
         controller = _fleet(1, 0)
-        assert controller.site("site-0").run_window(0) is None
+        assert controller.site("site-0").plan_window(0) is None
 
     def test_spec_requires_name(self):
         with pytest.raises(FleetError):
@@ -340,6 +340,13 @@ class TestFleetController:
         assert shared.homogeneous_windows
         assert shared.window_duration == pytest.approx(150.0)
         assert shared.reference_window_duration == pytest.approx(150.0)
+
+    def test_boundary_settled_engine_is_gone(self):
+        """Every site is event-driven; the transitional keyword accepts only
+        ``True`` and asking for the removed engine fails loudly."""
+        assert _fleet(1, 1, preemptive_sites=True).num_streams == 1
+        with pytest.raises(FleetError, match="boundary-settled"):
+            _fleet(1, 1, preemptive_sites=False)
 
     def test_admit_duplicate_and_failed_site(self):
         controller = _fleet(2, 1)

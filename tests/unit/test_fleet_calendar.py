@@ -2,20 +2,23 @@
 
 import pytest
 
-from repro.exceptions import FleetError, SimulationError
+from repro.exceptions import FleetError
 from repro.fleet import (
     ControlTick,
     EventCalendar,
+    FleetSimulator,
     ProfilePush,
+    Scenario,
     ScenarioTrigger,
     SiteFailure,
     SiteRecovery,
     TransferArrival,
     WanDegradation,
+    WanRestore,
     WindowBoundary,
     gpu_utilization,
+    make_fleet,
 )
-from repro.simulation import Simulator, make_setup
 
 
 class TestEventCalendar:
@@ -101,28 +104,33 @@ class TestEventCalendar:
 
 
 class TestTimedScenarioEvents:
-    def test_window_indexed_resolution_needs_a_shared_duration(self):
-        event = SiteFailure(window=3, site="s")
-        assert not event.is_time_indexed
-        assert event.trigger_seconds(200.0) == 600.0
-        with pytest.raises(FleetError):
-            event.trigger_seconds(None)
+    """Scenario times are absolute: the simulator schedules each trigger
+    and expiry at exactly the seconds the event names."""
+
+    @staticmethod
+    def _trace(event, window_duration):
+        controller = make_fleet(
+            2, 1, gpus_per_site=2, window_duration=window_duration, seed=0
+        )
+        simulator = FleetSimulator(controller, Scenario(events=[event]))
+        simulator.run_until(1000.0)
+        return simulator.event_trace
 
     def test_time_indexed_resolution_ignores_the_duration(self):
-        event = SiteFailure(at_seconds=450.0, site="s", recovery_at=900.0)
-        assert event.is_time_indexed
-        assert event.trigger_seconds(None) == 450.0
-        assert event.recovery_seconds(None) == 900.0
+        event = SiteFailure(at_seconds=450.0, site="site-0", recovery_at=900.0)
+        for window_duration in (200.0, (150.0, 200.0)):
+            trace = self._trace(event, window_duration)
+            assert [e.time for e in trace if isinstance(e, ScenarioTrigger)] == [450.0]
+            assert [e.time for e in trace if isinstance(e, SiteRecovery)] == [900.0]
 
     def test_expiry_resolution(self):
-        assert SiteFailure(window=2, site="s").recovery_seconds(200.0) is None
-        assert SiteFailure(window=2, site="s", recovery_window=4).recovery_seconds(
-            200.0
-        ) == 800.0
-        degradation = WanDegradation(
-            window=1, site="s", uplink_factor=0.5, until_window=3
+        trace = self._trace(SiteFailure(at_seconds=400.0, site="site-0"), 200.0)
+        assert not any(isinstance(e, SiteRecovery) for e in trace)
+        trace = self._trace(
+            WanDegradation(at_seconds=200.0, site="site-0", uplink_factor=0.5, until_at=600.0),
+            200.0,
         )
-        assert degradation.until_seconds(100.0) == 300.0
+        assert [e.time for e in trace if isinstance(e, WanRestore)] == [600.0]
 
 
 class TestGpuUtilization:
@@ -132,50 +140,3 @@ class TestGpuUtilization:
     def test_degenerate_capacity_is_flagged_as_zero(self):
         assert gpu_utilization(1.0, 0) == 0.0
         assert gpu_utilization(1.0, -2) == 0.0
-
-
-class TestAbsoluteRetrainingReadyTimes:
-    """Simulator.run_window accepts absolute transfer-arrival timestamps."""
-
-    def _setup(self):
-        setup = make_setup(
-            "ekya", num_streams=2, num_gpus=2, seed=0, profiler_error_std=0.0
-        )
-        simulator = Simulator(setup.server, setup.dynamics, setup.policy)
-        return simulator, setup.server.stream_names[0]
-
-    def test_ready_at_requires_a_window_start(self):
-        simulator, name = self._setup()
-        with pytest.raises(SimulationError):
-            simulator.run_window(0, retraining_ready_at={name: 260.0})
-
-    def test_ready_time_inside_the_window_charges_the_remainder(self):
-        relative, name = self._setup()
-        base = relative.run_window(0, retraining_delays={name: 60.0}).outcomes[name]
-        absolute, name = self._setup()
-        outcome = absolute.run_window(
-            0, window_start_seconds=400.0, retraining_ready_at={name: 460.0}
-        ).outcomes[name]
-        assert outcome.retraining_duration == base.retraining_duration
-        assert outcome.realized_average_accuracy == base.realized_average_accuracy
-
-    def test_ready_time_before_the_window_costs_nothing(self):
-        plain, name = self._setup()
-        base = plain.run_window(0).outcomes[name]
-        absolute, name = self._setup()
-        outcome = absolute.run_window(
-            0, window_start_seconds=400.0, retraining_ready_at={name: 400.0}
-        ).outcomes[name]
-        assert outcome.retraining_duration == base.retraining_duration
-
-    def test_both_forms_add_up(self):
-        combined, name = self._setup()
-        outcome = combined.run_window(
-            0,
-            retraining_delays={name: 30.0},
-            window_start_seconds=0.0,
-            retraining_ready_at={name: 30.0},
-        ).outcomes[name]
-        reference, name = self._setup()
-        base = reference.run_window(0, retraining_delays={name: 60.0}).outcomes[name]
-        assert outcome.retraining_duration == base.retraining_duration

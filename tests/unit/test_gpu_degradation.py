@@ -73,7 +73,7 @@ class TestSiteGpuBookkeeping:
     def test_zero_capacity_site_skips_windows_with_finite_load(self):
         _, site = _site()
         site.degrade_gpus(4)
-        assert site.run_window(0) is None
+        assert site.prepare_window_request(0) is None
         assert site.plan_window(0) is None
         # Large but finite: inf would defeat the rebalancer's comparisons.
         assert site.load > 1e5
@@ -96,7 +96,7 @@ class TestSiteGpuBookkeeping:
 class TestGpuFailureScenarioEvent:
     def test_validates_trigger_and_expiry(self):
         event = GpuFailure(site="site-0", at_seconds=50.0, recovery_at=250.0, num_gpus=2)
-        assert event.recovery_seconds(None) == 250.0
+        assert (event.at_seconds, event.recovery_at) == (50.0, 250.0)
         with pytest.raises(FleetError):
             GpuFailure(site="site-0")  # no trigger
         with pytest.raises(FleetError):
@@ -115,12 +115,9 @@ class TestGpuFailureScenarioEvent:
 
 
 class TestFleetGpuDegradation:
-    @pytest.mark.parametrize("preemptive", [False, True])
-    def test_flap_degrades_then_restores_capacity(self, preemptive):
+    def test_flap_degrades_then_restores_capacity(self):
         clock = ManualClock()
-        controller, site = _site(
-            2, 2, clock=clock, preemptive_sites=preemptive
-        )
+        controller, site = _site(2, 2, clock=clock)
         scenario = Scenario(
             [GpuFailure(site="site-0", at_seconds=250.0, recovery_at=450.0, num_gpus=3)]
         )
@@ -136,7 +133,7 @@ class TestFleetGpuDegradation:
 
     def test_zero_capacity_preemptive_site_cancels_in_flight_retrainings(self):
         clock = ManualClock()
-        controller, site = _site(2, 2, clock=clock, preemptive_sites=True)
+        controller, site = _site(2, 2, clock=clock)
         scenario = Scenario(
             [GpuFailure(site="site-0", at_seconds=210.0, recovery_at=450.0, num_gpus=4)]
         )
@@ -155,7 +152,7 @@ class TestFleetGpuDegradation:
     def test_identical_seeds_replay_bit_identically(self):
         def run():
             clock = ManualClock()
-            controller, _ = _site(2, 2, clock=clock, preemptive_sites=True)
+            controller, _ = _site(2, 2, clock=clock)
             scenario = Scenario(
                 [
                     GpuFailure(

@@ -2,17 +2,18 @@
 
 NaN passes every ``x <= 0`` / ``x < 0`` guard, and an infinite end time or
 duration never lets the event loop finish.  A fractional GPU count or a
-zero quantum must fail as a site error, not deep in the cluster or policy.  Each entry point below must
-raise :class:`~repro.exceptions.FleetError` *before the calendar
-advances*.  The ``frozen_calendar`` fixture makes any advance fail the
-test, so a regression shows up as a failure instead of a hung run.
+zero quantum must fail as a site error, not deep in the cluster or policy.
+Each entry point below must raise :class:`~repro.exceptions.FleetError`
+(:class:`~repro.exceptions.ProfilingError` for the profiling knobs) *before
+the calendar advances*.  The ``frozen_calendar`` fixture makes any advance
+fail the test, so a regression shows up as a failure instead of a hung run.
 """
 
 import math
 
 import pytest
 
-from repro.exceptions import FleetError
+from repro.exceptions import FleetError, ProfilingError
 from repro.fleet import (
     FlashCrowd,
     FleetSimulator,
@@ -97,8 +98,6 @@ def test_make_fleet_delta_is_checked_before_the_policy(frozen_calendar, value):
         lambda t: SiteFailure(at_seconds=10.0, site="site-0", recovery_at=t),
         lambda t: GpuFailure(at_seconds=10.0, site="site-0", recovery_at=t),
         lambda t: WanDegradation(at_seconds=10.0, site="site-0", until_at=t),
-        lambda t: FlashCrowd(window=t, num_streams=2),
-        lambda t: SiteFailure(window=1, site="site-0", recovery_window=t),
     ],
     ids=[
         "flash_crowd_at",
@@ -106,12 +105,61 @@ def test_make_fleet_delta_is_checked_before_the_policy(frozen_calendar, value):
         "site_failure_recovery_at",
         "gpu_failure_recovery_at",
         "wan_until_at",
-        "flash_crowd_window",
-        "site_failure_recovery_window",
     ],
 )
 def test_scenario_times_must_be_finite(frozen_calendar, build, value):
     with pytest.raises(FleetError, match="finite"):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [1.5, math.nan, 0])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: GpuFailure(at_seconds=10.0, site="site-0", num_gpus=n),
+        lambda n: FlashCrowd(at_seconds=10.0, num_streams=n),
+    ],
+    ids=["gpu_failure_num_gpus", "flash_crowd_num_streams"],
+)
+def test_scenario_counts_must_be_whole_numbers(frozen_calendar, build, value):
+    """1.5 once died at the trigger as a bare ``TypeError`` from ``range()``;
+    NaN surfaced as the cluster's ``SchedulingError``."""
+    with pytest.raises(FleetError, match="integer"):
+        build(value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_fleet(1.5, 1),
+        lambda: make_fleet(2, 1.5),
+        lambda: make_fleet(2, 1, max_migrations_per_window=1.5),
+        lambda: make_fleet(2, 1, overload_factor=math.nan),
+    ],
+    ids=["num_sites", "streams_per_site", "max_migrations", "overload_factor"],
+)
+def test_make_fleet_rejects_malformed_counts_and_factors(frozen_calendar, build):
+    """A fractional shape raised a bare ``TypeError``; a fractional migration
+    cap let one scan overshoot it; a NaN overload factor made every
+    imbalance count as overload."""
+    with pytest.raises(FleetError):
+        build()
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: make_fleet(2, 1, profiler_error_std=v),
+        lambda v: make_fleet(2, 1, profile_sharing=True, profiler_error_std=v),
+        lambda v: make_fleet(2, 1, profile_sharing=True, profile_decay_half_life=v),
+    ],
+    ids=["profiler_error_std", "shared_profiler_error_std", "decay_half_life"],
+)
+def test_profiling_knobs_must_be_finite(frozen_calendar, build, value):
+    """A NaN or infinite profiler error once ran to completion with
+    different decisions; a NaN half-life was accepted."""
+    with pytest.raises(ProfilingError):
         build(value)
 
 

@@ -6,7 +6,7 @@ Two layers under test:
   ``plan_window`` + ``settle_window`` must reproduce ``run_window`` bit for
   bit, per-stream settles must be exactly-once, and the cancelled /
   completion-override settle modes must realise the right outcomes; and
-* the fleet's preemptive event loop — ``RetrainingComplete`` /
+* the fleet's event loop — ``RetrainingComplete`` /
   ``InferenceReconfigured`` scheduling, the stale-event guard at the exact
   completion instant (event already popped vs. still pending), double-cancel
   idempotence, and the chained evacuation in which the second hop cancels a
@@ -121,14 +121,8 @@ class TestPlanSettleSplit:
         assert outcome.realized_average_accuracy > planned.estimate.average_accuracy
 
 
-def _preemptive_simulator(scenario=None, *, num_sites=2, streams_per_site=4, seed=SEED):
-    controller = make_fleet(
-        num_sites,
-        streams_per_site,
-        gpus_per_site=2,
-        seed=seed,
-        preemptive_sites=True,
-    )
+def _fleet_simulator(scenario=None, *, num_sites=2, streams_per_site=4, seed=SEED):
+    controller = make_fleet(num_sites, streams_per_site, gpus_per_site=2, seed=seed)
     return FleetSimulator(controller, scenario)
 
 
@@ -139,14 +133,14 @@ def _completion_times(simulator, site):
 
 class TestPreemptiveEventLoop:
     def test_retrainings_settle_at_their_own_events(self):
-        simulator = _preemptive_simulator()
+        simulator = _fleet_simulator()
         result = simulator.run(2)
         completions = [
             event
             for event in simulator.event_trace
             if isinstance(event, RetrainingComplete)
         ]
-        assert completions, "preemptive sites must schedule completion events"
+        assert completions, "sites must schedule completion events"
         reconfigured = [
             event
             for event in simulator.event_trace
@@ -156,28 +150,12 @@ class TestPreemptiveEventLoop:
         for event in reconfigured:
             assert event.reason == "retraining_complete"
             assert event.inference_gpu > 0.0
-        # No cancellations without departures; results mirror the defaults.
+        # No cancellations without departures.
         summary = result.summary()
         assert summary["retrainings_cancelled"] == 0
         assert summary["reclaimed_gpu_seconds"] == 0.0
         for window in result.windows:
             assert window.num_streams == 8
-
-    def test_preemptive_matches_boundary_engine_without_departures(self):
-        """With nothing to preempt, per-stream outcomes are identical."""
-        preemptive = _preemptive_simulator().run(3)
-        boundary = FleetSimulator(
-            make_fleet(2, 4, gpus_per_site=2, seed=SEED)
-        ).run(3)
-        for window, expected in zip(preemptive.windows, boundary.windows):
-            assert set(window.stream_outcomes) == set(expected.stream_outcomes)
-            for name, outcome in expected.stream_outcomes.items():
-                settled = window.stream_outcomes[name].outcome
-                assert (
-                    settled.realized_average_accuracy
-                    == outcome.outcome.realized_average_accuracy
-                )
-                assert settled.retraining_completed == outcome.outcome.retraining_completed
 
     def test_cancel_pending_at_exact_completion_instant_wins(self):
         """A failure at exactly the completion time preempts the pending event.
@@ -187,13 +165,13 @@ class TestPreemptiveEventLoop:
         still pending when the evacuation cancels it: the stream must lose
         the retraining even though zero GPU-seconds remained to reclaim.
         """
-        probe = _preemptive_simulator()
+        probe = _fleet_simulator()
         probe.run_until(201.0)  # window 1 planned at t=200
         completions = _completion_times(probe, "site-0")
         victim, instant = min(completions.items(), key=lambda item: (item[1], item[0]))
 
         scenario = Scenario(events=[SiteFailure(at_seconds=instant, site="site-0")])
-        simulator = _preemptive_simulator(scenario)
+        simulator = _fleet_simulator(scenario)
         result = simulator.run(3)
         outcome = result.windows[1].stream_outcomes[victim]
         assert outcome.site == "site-0"
@@ -203,13 +181,13 @@ class TestPreemptiveEventLoop:
 
     def test_cancel_after_all_completions_popped_is_a_noop(self):
         """A failure after the last completion fired cancels nothing."""
-        probe = _preemptive_simulator()
+        probe = _fleet_simulator()
         probe.run_until(201.0)
         last = max(_completion_times(probe, "site-0").values())
         scenario = Scenario(
             events=[SiteFailure(at_seconds=last + 1e-6, site="site-0")]
         )
-        simulator = _preemptive_simulator(scenario)
+        simulator = _fleet_simulator(scenario)
         result = simulator.run(3)
         summary = result.summary()
         assert summary["retrainings_cancelled"] == 0
@@ -221,7 +199,7 @@ class TestPreemptiveEventLoop:
 
     def test_double_cancel_is_idempotent(self):
         """Cancelling a stream twice reclaims its remaining work only once."""
-        simulator = _preemptive_simulator()
+        simulator = _fleet_simulator()
         simulator.run_until(201.0)
         open_window = simulator._open_windows["site-0"]
         victim = min(open_window.expected)
@@ -236,7 +214,7 @@ class TestPreemptiveEventLoop:
 
     def test_reclaimed_capacity_accelerates_surviving_retrainings(self):
         """A cancellation reschedules the survivors' completions earlier."""
-        simulator = _preemptive_simulator()
+        simulator = _fleet_simulator()
         first = simulator.run_until(201.0)
         open_window = simulator._open_windows["site-0"]
         before = dict(open_window.expected)
@@ -278,7 +256,6 @@ class TestPreemptiveEventLoop:
             gpus_per_site=2,
             window_duration=duration,
             seed=SEED,
-            preemptive_sites=True,
         )
         result = FleetSimulator(controller).run(6)
         assert len(result.windows) == 6
@@ -288,7 +265,7 @@ class TestPreemptiveEventLoop:
 
     def test_completion_event_reports_the_boosted_allocation(self):
         """InferenceReconfigured carries the allocation the job ran at."""
-        simulator = _preemptive_simulator()
+        simulator = _fleet_simulator()
         first = simulator.run_until(201.0)
         open_window = simulator._open_windows["site-0"]
         before = dict(open_window.expected)
@@ -323,9 +300,7 @@ class TestPreemptiveEventLoop:
         checkpoint has arrived.
         """
         scenario = Scenario(events=[SiteFailure(at_seconds=0.0, site="site-0")])
-        controller = make_fleet(
-            3, 4, gpus_per_site=2, seed=SEED, preemptive_sites=True
-        )
+        controller = make_fleet(3, 4, gpus_per_site=2, seed=SEED)
         simulator = FleetSimulator(controller, scenario)
         simulator.run_until(1.0)  # trigger + window-0 boundaries at t=0
         delayed_site = next(
@@ -380,7 +355,7 @@ class TestPreemptiveEventLoop:
         in-flight remaining work at the failure instant computed from the
         *original* plan.
         """
-        probe = _preemptive_simulator()
+        probe = _fleet_simulator()
         probe.run_until(201.0)
         open_probe = probe._open_windows["site-0"]
         inflight = dict(open_probe.expected)
@@ -393,7 +368,7 @@ class TestPreemptiveEventLoop:
         )
 
         scenario = Scenario(events=[SiteFailure(at_seconds=instant, site="site-0")])
-        simulator = _preemptive_simulator(scenario)
+        simulator = _fleet_simulator(scenario)
         result = simulator.run(3)
         window = result.windows[1]
         stats = window.site_stats["site-0"]

@@ -120,14 +120,6 @@ class TestEventRing:
         assert list(second[: len(first)]) == list(first)
         assert simulator.event_trace is second
 
-    def test_record_events_false_keeps_the_trace_empty(self):
-        clock = ManualClock()
-        controller = make_fleet(2, 2, gpus_per_site=2, seed=0, clock=clock)
-        simulator = FleetSimulator(controller, clock=clock, record_events=False)
-        result = simulator.run(2)
-        assert simulator.event_trace == ()
-        assert result.summary()["telemetry_ring_occupancy"] == 0
-
 
 # ------------------------------------------------------------------ sketches
 class TestP2Quantile:
@@ -285,7 +277,7 @@ class TestPrometheusExport:
         clock = ManualClock()
         controller = make_fleet(2, 4, gpus_per_site=1, seed=0, clock=clock)
         scenario = Scenario(
-            events=[SiteFailure(window=1, site="site-0", recovery_window=2)]
+            events=[SiteFailure(at_seconds=200.0, site="site-0", recovery_at=400.0)]
         )
         simulator = FleetSimulator(controller, scenario, clock=clock)
         result = simulator.run(3)
