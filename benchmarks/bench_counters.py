@@ -10,7 +10,9 @@ outside-in :class:`~layers.Tracer` and compares :data:`COUNTERS` exactly
 against ``benchmarks/baselines/counters_baseline.json``.
 
 Any difference fails the gate.  A change that lowers a counter on purpose
-re-records the baseline (``--record``) and says so in its change notes::
+re-records the baseline (``--record``, which prints every value it changes
+as ``name@workload old → new`` before writing) and lists those lines in its
+change notes::
 
     PYTHONPATH=src python benchmarks/bench_counters.py [--record]
 
@@ -95,12 +97,29 @@ def check_counters() -> List[str]:
     return compare_counters(measure_counters(), load_counters_baseline())
 
 
+def record_changes(
+    measured: Dict[str, Dict[str, int]], baseline: Dict[str, Dict[str, int]]
+) -> List[str]:
+    """Every value a re-record changes, as ``name@workload old → new``."""
+    return [
+        f"{name}@{workload} {baseline.get(workload, {}).get(name)} → {counts[name]}"
+        for workload, counts in measured.items()
+        for name in COUNTERS
+        if baseline.get(workload, {}).get(name) != counts[name]
+    ]
+
+
 def record() -> None:
+    """Print every value that changes, then write the new baseline."""
+    measured = measure_counters()
+    baseline = load_counters_baseline() if COUNTERS_BASELINE_PATH.exists() else {}
+    for change in record_changes(measured, baseline):
+        print(f"  {change}")
     payload = {
         "seed": SEED,
         "windows": WINDOWS,
         "counters": list(COUNTERS),
-        "workloads": measure_counters(),
+        "workloads": measured,
     }
     COUNTERS_BASELINE_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 

@@ -28,7 +28,9 @@ Event hierarchy (priority order at equal timestamps, smaller fires first):
    a same-instant rebalance sees the completed model.
 5. :class:`InferenceReconfigured` — a mid-window allocation change: GPUs
    freed by a completed retraining flowed back to inference, or a
-   cancellation handed reclaimed capacity to surviving retrainings.
+   cancellation handed reclaimed capacity to surviving retrainings.  Like
+   :class:`MigrationStarted`, a trace-only marker written into the
+   telemetry ring at the change, never scheduled.
 6. :class:`ProfilePush` — a site's micro-profiled curves land in the
    fleet-wide :class:`~repro.profiles.fleet_store.FleetProfileStore` after
    crossing the site's WAN uplink (cross-site profile sharing; only
@@ -53,10 +55,11 @@ The calendar is the spine of every run:
   ``at_seconds=k * 200.0``.  Events are validated when built (expiry
   before trigger, non-finite times) and again at :class:`FleetSimulator`
   construction (unknown sites), not at fire time.
-* **Event-driven sites**: every site plans each window at its boundary and
-  settles every stream's retraining at its own :class:`RetrainingComplete`
-  event, where the freed GPUs flow back to the stream's inference job
-  (:class:`InferenceReconfigured`).  A mid-window migration or evacuation
+* **Event-driven sites**: every site plans each window at its boundary
+  into one record per in-flight retraining and settles every stream's
+  retraining at its own :class:`RetrainingComplete` event, where the freed
+  GPUs flow back to the stream's inference job (traced as
+  :class:`InferenceReconfigured`).  A mid-window migration or evacuation
   *cancels* the departing stream's in-flight retraining and reclaims its
   remaining GPU-seconds for the site's other in-flight retrainings, which
   finish earlier.  Surfaced as ``retrainings_cancelled`` /

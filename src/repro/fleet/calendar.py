@@ -43,9 +43,10 @@ Event hierarchy (all timestamped in absolute simulated seconds):
 * :class:`InferenceReconfigured` — a stream's inference serving path
   changed allocation mid-window: the GPUs freed by a completed retraining
   flowed back to its inference job, or a cancellation handed the freed
-  capacity to the site's surviving in-flight retrainings.  Scheduled at the
-  instant of the change, directly after the :class:`RetrainingComplete`
-  slot, so the trace reads completion → reconfiguration.
+  capacity to the site's surviving in-flight retrainings.  A trace-only
+  marker, like :class:`MigrationStarted`: the simulator writes it into the
+  telemetry ring at the instant of the change and never schedules it, so
+  the trace reads completion → reconfiguration.
 * :class:`ProfilePush` — a site's micro-profiled curves land in the
   fleet-wide :class:`~repro.profiles.fleet_store.FleetProfileStore` after
   crossing the site's WAN uplink (cross-site profile sharing; scheduled
@@ -62,10 +63,11 @@ Event hierarchy (all timestamped in absolute simulated seconds):
   ``window_duration``.
 
 At equal timestamps the class priority above (smaller fires first) fixes the
-semantic order — restore, trigger, arrivals, completions, reconfigurations,
-pushes, control, windows — and the monotonically increasing sequence number
-makes ties within a priority fire in scheduling order, so event processing
-is deterministic across runs.
+semantic order — restore, trigger, arrivals, completions, pushes, control,
+windows — and the monotonically increasing sequence number makes ties
+within a priority fire in scheduling order, so event processing is
+deterministic across runs.  The two trace-only markers keep a nominal
+priority so every event class documents its slot.
 """
 
 from __future__ import annotations
@@ -227,9 +229,10 @@ class RetrainingComplete(SimEvent):
 
 @dataclass(frozen=True)
 class InferenceReconfigured(SimEvent):
-    """A stream's inference serving path changed allocation mid-window.
+    """Trace-only marker: a stream's inference serving path changed
+    allocation mid-window (recorded at the change, never scheduled).
 
-    Two reasons, mirroring how Ekya re-runs its scheduler when a retraining
+    Its reasons mirror how Ekya re-runs its scheduler when a retraining
     job leaves the GPU:
 
     * ``"retraining_complete"`` — the stream's retraining finished and its
@@ -239,6 +242,10 @@ class InferenceReconfigured(SimEvent):
       its in-flight retraining was cancelled; the reclaimed capacity went to
       the site's surviving in-flight retrainings (``inference_gpu`` is 0.0 —
       the departed stream no longer serves at this site).
+    * ``"proactive_cancellation"`` — the control policy cancelled a
+      retraining that no longer pays; reclaimed as above.
+    * ``"gpu_failure"`` — the site lost its last GPU and the retraining was
+      cancelled with nothing left to reclaim into.
     """
 
     priority: ClassVar[int] = 4

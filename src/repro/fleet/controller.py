@@ -59,10 +59,8 @@ class FleetController:
         *,
         dynamics: StreamDynamics,
         admission: AdmissionPolicy,
-        migration_cost: MigrationCostModel = MigrationCostModel(),
         overload_factor: float = 1.5,
         max_migrations_per_window: int = 4,
-        stream_factory: Callable[..., VideoStream] = make_stream,
         profile_sharing: Optional["ProfileSharing"] = None,
         wan_faults: Optional[WanFaultModel] = None,
         telemetry: Optional["TelemetryConfig"] = None,
@@ -90,10 +88,9 @@ class FleetController:
         self._sites: Dict[str, EdgeSite] = {site.name: site for site in sites}
         self._dynamics = dynamics
         self._admission = admission
-        self._migration_cost = migration_cost
+        self._migration_cost = MigrationCostModel()
         self._overload_factor = overload_factor
         self._max_migrations = max_migrations_per_window
-        self._stream_factory = stream_factory
         self._profile_sharing = profile_sharing
         self._wan_faults = wan_faults
         self._telemetry = telemetry
@@ -332,7 +329,7 @@ class FleetController:
             while f"{dataset}-{index}" in self._stream_site:
                 index += 1
             self._next_index[dataset] = index + 1
-            stream = self._stream_factory(
+            stream = make_stream(
                 dataset,
                 index,
                 seed=self._seed,

@@ -36,7 +36,7 @@ from .admission import (
 )
 from .controller import FleetController
 from .faults import WanFaultModel
-from .migration import PROFILE_SIZE_MBITS, MigrationCostModel
+from .migration import PROFILE_SIZE_MBITS
 from .policy import ControlPolicy, GreedyRebalancePolicy, PredictiveProfitPolicy
 from .site import EdgeSite, SiteSpec
 from .telemetry import TelemetryConfig
@@ -117,7 +117,6 @@ def make_fleet(
     a_min: float = 0.4,
     window_duration: Union[float, Sequence[float]] = 200.0,
     admission: Union[str, AdmissionPolicy] = "least_loaded",
-    migration_cost: MigrationCostModel = MigrationCostModel(),
     overload_factor: float = 1.5,
     max_migrations_per_window: int = 4,
     links: Optional[Sequence[NetworkLink]] = None,
@@ -306,7 +305,6 @@ def make_fleet(
         sites,
         dynamics=dynamics,
         admission=admission,
-        migration_cost=migration_cost,
         overload_factor=overload_factor,
         max_migrations_per_window=max_migrations_per_window,
         profile_sharing=sharing,

@@ -21,10 +21,10 @@ times too, so events can fire mid-window and sites with different
   left, and its recovery restores exactly the count it took.
 
 Every event is validated at construction (missing, negative or non-finite
-times, expiry not after the trigger, counts that are not whole numbers) and
-again when handed to a :class:`~repro.fleet.simulator.FleetSimulator`, which
-checks the named sites exist — a bad scenario fails up front, not windows
-into a run.
+times, expiry not after the trigger, counts that are not whole numbers, an
+unknown flash-crowd dataset) and again when handed to a
+:class:`~repro.fleet.simulator.FleetSimulator`, which checks the named sites
+exist — a bad scenario fails up front, not windows into a run.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Collection, List, Optional, Union
 
-from ..exceptions import FleetError
+from ..datasets.generators import dataset_spec
+from ..exceptions import DatasetError, FleetError
 
 
 def _validate_trigger(event: "ScenarioEvent") -> None:
@@ -74,6 +75,10 @@ class FlashCrowd:
     def __post_init__(self) -> None:
         _validate_trigger(self)
         _validate_count(self, "num_streams")
+        try:
+            dataset_spec(self.dataset)
+        except DatasetError as exc:
+            raise FleetError(f"FlashCrowd: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,17 @@ all first-class timestamped events, popped in deterministic
   profile store (cross-site profile sharing; scheduled only for fleets
   built with ``make_fleet(profile_sharing=True)``).  The arrival paid the
   source site's uplink, so degraded sites contribute stale curves.
-* ``RetrainingComplete`` / ``InferenceReconfigured`` — event-driven site
-  internals: a window is *planned* at its boundary, each stream's
-  retraining completion becomes its own calendar event at the absolute
-  finish time, and the settle phase runs per stream — at its completion
-  (its GPUs then flow back to the stream's inference job), at the window
-  end, or early as a cancellation when a mid-window migration/evacuation
-  preempts an in-flight retraining and reclaims its remaining GPU-seconds
-  for the site's other in-flight retrainings (which then finish earlier).
+* ``RetrainingComplete`` — event-driven site internals: a window is
+  *planned* at its boundary into one record per in-flight retraining, each
+  retraining that fits the window gets its own completion event at the
+  absolute finish time, and the settle phase runs per stream — at its
+  completion (its GPUs then flow back to the stream's inference job), at
+  the window end, or early as a cancellation when a mid-window
+  migration/evacuation preempts an in-flight retraining and reclaims its
+  remaining GPU-seconds for the site's other in-flight retrainings (which
+  then finish earlier).  Each such allocation change is written into the
+  telemetry ring as a trace-only ``InferenceReconfigured`` marker at the
+  instant it happens, like ``MigrationStarted``; neither is scheduled.
 * ``ControlTick`` — the controller rebalances.  Ticks coincide with window
   boundaries by default (the PR-2 cadence); pass ``control_interval`` to
   run the control plane on its own cadence, decoupled from windows.
@@ -71,6 +74,7 @@ field for field across runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -112,6 +116,36 @@ from .site import EdgeSite
 from .telemetry import TelemetryConfig, TelemetryPlane
 
 
+def _check_window_index(value: object, label: str) -> None:
+    """Reject a fractional or negative window index before the calendar is built."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise FleetError(f"{label} must be a non-negative integer, got {value}")
+
+
+@dataclass
+class _Retraining:
+    """One stream's in-flight retraining, from its window's plan to its settle."""
+
+    #: Absolute time its ``RetrainingComplete`` event fires at; a popped
+    #: completion fires only while its timestamp still matches, so cancelled
+    #: or rescheduled events go stale without leaving the heap.  ``inf`` (and
+    #: no event) for a retraining planned past the window end, which burns
+    #: GPU from ``ready`` to the boundary regardless.
+    completion: float
+    #: Current GPU allocation: the planned one, grown by reclaimed capacity
+    #: or rescaled by a GPU failure or recovery.
+    alloc: float
+    #: Absolute time before which it burns no GPU (a migrated-in stream waits
+    #: for its WAN transfer); reclaim and acceleration count only work past it.
+    ready: float
+    #: Whether extra allocation brings the completion forward: not for a fixed
+    #: external completion (cloud offload), nor for one with no event.
+    accelerable: bool
+    #: Completion offset into the window once reclaimed or rescaled capacity
+    #: moved it; ``None`` keeps the plan's.
+    override: Optional[float] = None
+
+
 @dataclass
 class _OpenSiteWindow:
     """Bookkeeping for one site window between plan and settle.
@@ -119,11 +153,7 @@ class _OpenSiteWindow:
     Created at the site's :class:`~repro.fleet.calendar.WindowBoundary`
     (plan phase) and closed when the window fully settles — at its end, or
     stream by stream as :class:`~repro.fleet.calendar.RetrainingComplete`
-    events fire and departures cancel in-flight retrainings.  ``expected``
-    maps each in-flight stream to the absolute completion time currently on
-    the calendar; a popped completion event fires only while its timestamp
-    still matches, which is what makes cancelled or rescheduled events
-    stale without removing them from the heap.
+    events fire and departures cancel in-flight retrainings.
     """
 
     site: str
@@ -138,20 +168,11 @@ class _OpenSiteWindow:
     #: Migration events charged to each planned stream, popped at plan time
     #: so WAN hops are charged to the window they delay.
     migrations_stash: Dict[str, Tuple[MigrationEvent, ...]]
-    #: Absolute completion time per in-flight retraining.
-    expected: Dict[str, float] = field(default_factory=dict)
-    #: Current retraining GPU allocation per in-flight retraining.
-    alloc: Dict[str, float] = field(default_factory=dict)
-    #: Absolute time before which each in-flight retraining burns no GPU
-    #: (a migrated-in stream waits for its WAN transfer first).  Reclaim
-    #: and acceleration count only work past this point.
-    ready: Dict[str, float] = field(default_factory=dict)
-    #: In-flight streams whose completion is allocation-driven; a fixed
-    #: external completion (cloud offload) cannot be accelerated.
-    accelerable: set = field(default_factory=set)
-    #: Realised completion offsets (seconds into the window) for streams
-    #: whose retraining was accelerated by reclaimed capacity.
-    overrides: Dict[str, float] = field(default_factory=dict)
+    #: One record per planned retraining still in flight: every one that
+    #: fits the window, and every one planned past its end that starts
+    #: burning GPU before it.  Filled once at plan time; a completion or
+    #: cancellation removes the stream's record.
+    retrainings: Dict[str, _Retraining] = field(default_factory=dict)
     retrainings_cancelled: int = 0
     reclaimed_gpu_seconds: float = 0.0
     #: GPU-seconds burned on retrainings that never paid: work sunk into a
@@ -298,10 +319,12 @@ class FleetSimulator:
     @property
     def event_trace(self) -> Sequence[SimEvent]:
         """Every recorded event still in the telemetry ring, in firing
-        order (plus :class:`~repro.fleet.calendar.MigrationStarted`
-        markers).  Served as a cached immutable tuple — repeated reads
-        between events are O(1), and the same object is returned until a
-        new event is recorded."""
+        order, with the trace-only
+        :class:`~repro.fleet.calendar.InferenceReconfigured` and
+        :class:`~repro.fleet.calendar.MigrationStarted` markers at the
+        moment each change happened.  Served as a cached immutable tuple —
+        repeated reads between events are O(1), and the same object is
+        returned until a new event is recorded."""
         return self._telemetry.events()
 
     # -------------------------------------------------------------- execution
@@ -311,10 +334,9 @@ class FleetSimulator:
         Compatibility wrapper for homogeneous-window fleets; heterogeneous
         fleets have no shared window count — use :meth:`run_until`.
         """
-        if num_windows < 1:
-            raise FleetError("num_windows must be >= 1")
-        if start_window < 0:
-            raise FleetError("start_window must be non-negative")
+        if not isinstance(num_windows, numbers.Integral) or num_windows < 1:
+            raise FleetError(f"num_windows must be an integer >= 1, got {num_windows}")
+        _check_window_index(start_window, "start_window")
         watch = Stopwatch(self._clock)
         result = self._new_result()
         for window_index in range(start_window, start_window + num_windows):
@@ -330,6 +352,7 @@ class FleetSimulator:
         simulated time and cannot rewind); the first call fixes the start
         window, matching ``run(..., start_window=...)``.
         """
+        _check_window_index(window_index, "window_index")
         duration = self._controller.window_duration  # homogeneous fleets only
         if self._calendar is None:
             self._start(start_window=window_index)
@@ -535,11 +558,6 @@ class FleetSimulator:
             self._on_profile_push(event)
         elif isinstance(event, RetrainingComplete):
             self._on_retraining_complete(event)
-        elif isinstance(event, InferenceReconfigured):
-            # Pure trace marker: the allocation change it records was applied
-            # when it was scheduled (completion settle / cancellation); the
-            # event exists so the timeline is observable on the calendar.
-            pass
         elif isinstance(event, TransferArrival):
             self._on_transfer_arrival(event)
         elif isinstance(event, TransferFailed):
@@ -626,50 +644,27 @@ class FleetSimulator:
 
         Built per tick, and only when the installed policy declares
         ``wants_signals`` — the default greedy plane never pays for it.
+        Retrainings planned past the window end show with an infinite
+        completion: they never pay this window — exactly the jobs a
+        predictive policy most wants to see.
         """
-        inflight: Dict[str, Dict[str, InflightRetraining]] = {}
-        for site_name, open_window in self._open_windows.items():
-            entries = {
+        inflight = {
+            site_name: {
                 stream: InflightRetraining(
                     stream=stream,
                     site=site_name,
-                    expected_completion=completion,
-                    alloc=open_window.alloc.get(stream, 0.0),
-                    ready=open_window.ready.get(stream, open_window.start),
-                    accelerable=stream in open_window.accelerable,
+                    expected_completion=record.completion,
+                    alloc=record.alloc,
+                    ready=record.ready,
+                    accelerable=record.accelerable,
                     window_start=open_window.start,
                     window_end=open_window.end,
                 )
-                for stream, completion in open_window.expected.items()
+                for stream, record in open_window.retrainings.items()
             }
-            # Planned retrainings that never fit the window have no
-            # completion event (and no expected entry) but burn GPU to the
-            # boundary regardless — exactly the jobs a predictive policy
-            # most wants to see.  Exposed with an infinite completion: they
-            # never pay this window.
-            for stream in open_window.plan.pending_streams():
-                if stream in entries:
-                    continue
-                planned = open_window.plan.streams[stream]
-                if planned.decision.retraining_gpu <= 0:
-                    continue
-                ready = open_window.start + planned.retraining_start_offset
-                if ready >= open_window.end:
-                    continue  # never starts burning either
-                entries[stream] = InflightRetraining(
-                    stream=stream,
-                    site=site_name,
-                    expected_completion=float("inf"),
-                    alloc=planned.decision.retraining_gpu,
-                    ready=ready,
-                    # No completion event exists to reschedule, so reclaimed
-                    # capacity cannot flow *to* this job — only from it.
-                    accelerable=False,
-                    window_start=open_window.start,
-                    window_end=open_window.end,
-                )
-            if entries:
-                inflight[site_name] = entries
+            for site_name, open_window in self._open_windows.items()
+            if open_window.retrainings
+        }
         return ControlSignals(
             now=self._calendar.now if self._calendar is not None else 0.0,
             transfer_arrivals=dict(self._transfer_arrival),
@@ -786,15 +781,16 @@ class FleetSimulator:
         delays: Optional[Dict[str, float]],
         preplanned: Optional[WindowSchedule],
     ) -> None:
-        """Plan phase of a site window: schedule, then per-stream events.
+        """Plan phase of a site window: schedule, then per-stream records.
 
-        The cohort's schedule is placed, but nothing is realised yet: each
-        stream whose retraining fits the window gets a
-        :class:`~repro.fleet.calendar.RetrainingComplete` event at its
-        absolute finish time, and the settle phase runs stream by stream as
-        those events fire (or early, when a departure cancels).  Migration
-        attribution is popped here, so WAN hops are charged to the window
-        they delay.
+        The cohort's schedule is placed, but nothing is realised yet: every
+        retraining that burns GPU inside the window gets a record, from then
+        on the only source of its timing and allocation, and each one that
+        fits the window a :class:`~repro.fleet.calendar.RetrainingComplete`
+        event at its absolute finish time; the settle phase runs stream by
+        stream as those events fire (or early, when a departure cancels).
+        Migration attribution is popped here, so WAN hops are charged to the
+        window they delay.
         """
         plan = site.plan_window(
             boundary.window_index, retraining_delays=delays, preplanned=preplanned
@@ -820,23 +816,28 @@ class FleetSimulator:
                 name: tuple(self._migrated_into.pop(name, ())) for name in plan.streams
             },
         )
-        for name, offset in plan.completion_offsets().items():
-            completion = boundary.time + offset
-            planned = plan.streams[name]
-            open_window.expected[name] = completion
-            open_window.alloc[name] = planned.decision.retraining_gpu
-            open_window.ready[name] = boundary.time + planned.retraining_start_offset
-            if planned.allocation_driven:
-                open_window.accelerable.add(name)
-            self._calendar.schedule(
-                RetrainingComplete(
-                    time=completion,
-                    site=site.name,
-                    stream=name,
-                    window_index=boundary.window_index,
+        completions = plan.completion_offsets()
+        for name, planned in plan.streams.items():
+            alloc = planned.decision.retraining_gpu
+            ready = boundary.time + planned.retraining_start_offset
+            if name in completions:
+                open_window.retrainings[name] = _Retraining(
+                    boundary.time + completions[name], alloc, ready, planned.allocation_driven
                 )
-            )
+                self._schedule_completion(open_window, name)
+            elif alloc > 0 and ready < open_window.end:
+                open_window.retrainings[name] = _Retraining(math.inf, alloc, ready, False)
         self._open_windows[site.name] = open_window
+
+    def _schedule_completion(self, open_window: _OpenSiteWindow, name: str) -> None:
+        self._calendar.schedule(
+            RetrainingComplete(
+                time=open_window.retrainings[name].completion,
+                site=open_window.site,
+                stream=name,
+                window_index=open_window.window_index,
+            )
+        )
 
     def _on_retraining_complete(self, event: RetrainingComplete) -> None:
         """One stream's retraining finished: settle it at this very instant.
@@ -844,34 +845,30 @@ class FleetSimulator:
         Stale events — the window already closed, the retraining was
         cancelled, or a cancellation's reclaimed capacity rescheduled the
         completion earlier — are silent no-ops: only an event whose
-        timestamp matches the stream's current expected completion fires.
+        timestamp matches the stream's current completion fires.
         """
         open_window = self._open_windows.get(event.site)
         if open_window is None or open_window.window_index != event.window_index:
             return
-        if open_window.expected.get(event.stream) != event.time:
+        record = open_window.retrainings.get(event.stream)
+        if record is None or record.completion != event.time:
             return
-        del open_window.expected[event.stream]
-        open_window.ready.pop(event.stream, None)
-        open_window.accelerable.discard(event.stream)
-        # The allocation the retraining actually ran at — the planned one
-        # plus any capacity reclaimed from cancelled neighbours.
-        retraining_gpu = open_window.alloc.pop(event.stream)
-        override = open_window.overrides.pop(event.stream, None)
+        del open_window.retrainings[event.stream]
         site = self._controller.site(event.site)
         outcome = site.settle_stream(
-            open_window.plan, event.stream, completion_offset=override
+            open_window.plan, event.stream, completion_offset=record.override
         )
         self._record_settled(open_window, event.stream, outcome)
         decision = open_window.plan.streams[event.stream].decision
-        # Ekya's reaction to a finished retraining job: its GPUs flow back
-        # to the stream's inference job (the estimator's Figure-4 model).
-        self._calendar.schedule(
+        # Ekya's reaction to a finished retraining job: its GPUs — the
+        # allocation it actually ran at, reclaimed capacity included — flow
+        # back to the stream's inference job (the estimator's Figure-4 model).
+        self._telemetry.record_event(
             InferenceReconfigured(
                 time=event.time,
                 site=event.site,
                 stream=event.stream,
-                inference_gpu=decision.inference_gpu + retraining_gpu,
+                inference_gpu=decision.inference_gpu + record.alloc,
                 reason="retraining_complete",
             )
         )
@@ -879,127 +876,94 @@ class FleetSimulator:
     def _on_stream_departure(self, stream: str, source: str, reason: str) -> None:
         """A stream migrated or was evacuated away: preempt its retraining.
 
-        Installed as the controller's departure hook.  Delegates to
-        :meth:`_cancel_inflight_retraining` with the engine's historical
-        ``"retraining_cancelled"`` reconfiguration reason.
+        Installed as the controller's departure hook.  Only a retraining
+        with a completion event is preempted; one planned past the window
+        end is left to burn to the boundary and settle there as waste.
         """
-        self._cancel_inflight_retraining(source, stream, "retraining_cancelled")
+        open_window = self._open_windows.get(source)
+        record = open_window.retrainings.get(stream) if open_window is not None else None
+        if record is not None and record.completion < math.inf:
+            self._cancel_retraining(open_window, stream, "retraining_cancelled")
 
     def _on_proactive_cancellation(
         self, source: str, stream: str, reason: str = "proactive_cancellation"
     ) -> bool:
         """The control plane asked for a cancellation (the controller's
         cancellation hook).  Unlike a departure, the proactive path may also
-        kill retrainings that were planned past the window end — they have
-        no completion event but burn GPU to the boundary regardless."""
-        return self._cancel_inflight_retraining(
-            source, stream, reason, allow_unscheduled=True
-        )
-
-    def _cancel_inflight_retraining(
-        self,
-        source: str,
-        stream: str,
-        reason: str = "proactive_cancellation",
-        *,
-        allow_unscheduled: bool = False,
-    ) -> bool:
-        """Cancel one in-flight retraining at ``source`` right now.
-
-        The shared preemption core behind mid-window departures and the
-        control plane's proactive cancellations
-        (:meth:`~repro.fleet.controller.FleetController.
-        request_cancellation`).  The stream settles with no retraining
-        benefit, the work already burned is accounted as waste, the
-        remaining GPU-seconds are reclaimed, and the freed allocation is
-        split evenly across the site's surviving accelerable in-flight
-        retrainings — each finishes earlier, its stale completion event
-        superseded by a rescheduled one.  Idempotent: a stream with no
-        in-flight retraining (none planned, already completed, or already
-        cancelled by an earlier hop) is a no-op returning ``False``.
-        """
+        kill a retraining planned past the window end."""
         open_window = self._open_windows.get(source)
-        if open_window is None:
+        return open_window is not None and self._cancel_retraining(open_window, stream, reason)
+
+    def _cancel_retraining(
+        self, open_window: _OpenSiteWindow, stream: str, reason: str, *, reclaim: bool = True
+    ) -> bool:
+        """Cancel one of ``open_window``'s in-flight retrainings right now.
+
+        The one preemption core behind departures, the control plane's
+        proactive cancellations and a shrink to zero GPUs.  The stream
+        settles with no retraining benefit and the work already burned is
+        waste.  With ``reclaim`` the GPU-seconds still to burn are reclaimed
+        and the freed allocation is split evenly across the site's surviving
+        accelerable retrainings, which finish earlier.  Idempotent: a stream
+        with nothing in flight (none planned, already completed or
+        cancelled) is a no-op returning ``False``.
+        """
+        record = open_window.retrainings.pop(stream, None)
+        if record is None:
             return False
         now = self._calendar.now
-        expected = open_window.expected.pop(stream, None)
-        if expected is not None:
-            alloc = open_window.alloc.pop(stream)
-            ready = open_window.ready.pop(stream, now)
-        else:
-            if not allow_unscheduled:
-                return False
-            planned = open_window.plan.streams.get(stream)
-            if (
-                planned is None
-                or planned.decision.retraining_gpu <= 0
-                or open_window.plan.settled(stream)
-            ):
-                return False
-            alloc = planned.decision.retraining_gpu
-            ready = open_window.start + planned.retraining_start_offset
-            if ready >= open_window.end:
-                return False  # never starts burning: nothing to cancel
-            # Left alone, the job burns to the boundary and settles as pure
-            # waste — so the boundary is its effective completion time for
-            # both the burn already sunk and the reclaimable remainder.
-            expected = open_window.end
-        open_window.accelerable.discard(stream)
-        open_window.overrides.pop(stream, None)
+        # Left alone, a retraining planned past the window end burns to the
+        # boundary and settles as pure waste — so the boundary is its
+        # effective completion for both the burn already sunk and the
+        # reclaimable remainder.
+        completion = record.completion if record.completion < math.inf else open_window.end
+        open_window.retrainings_cancelled += 1
+        open_window.wasted_gpu_seconds += (
+            max(0.0, min(now, completion) - record.ready) * record.alloc
+        )
+        site = self._controller.site(open_window.site)
+        outcome = site.settle_stream(open_window.plan, stream, cancelled=True)
+        self._record_settled(open_window, stream, outcome)
+        self._telemetry.record_event(
+            InferenceReconfigured(
+                time=now, site=open_window.site, stream=stream, inference_gpu=0.0, reason=reason
+            )
+        )
+        if not reclaim:
+            return True
         # Reclaim only GPU work still to *burn*: a WAN-delayed retraining is
         # idle until its checkpoint arrives (``ready``), so the waiting
         # portion of its wall-clock time-to-completion is not work.  The
         # mirror-image burn — work already done and now written off — is the
         # cancellation's waste.
-        remaining = max(0.0, expected - max(now, ready))
-        reclaimed = remaining * alloc
-        open_window.retrainings_cancelled += 1
+        reclaimed = max(0.0, completion - max(now, record.ready)) * record.alloc
         open_window.reclaimed_gpu_seconds += reclaimed
-        open_window.wasted_gpu_seconds += max(0.0, min(now, expected) - ready) * alloc
-        site = self._controller.site(source)
-        outcome = site.settle_stream(open_window.plan, stream, cancelled=True)
-        self._record_settled(open_window, stream, outcome)
-        self._calendar.schedule(
-            InferenceReconfigured(
-                time=now,
-                site=source,
-                stream=stream,
-                inference_gpu=0.0,
-                reason=reason,
-            )
-        )
-        # Only allocation-driven retrainings can absorb the freed capacity;
-        # a fixed external completion (cloud offload) is not accelerable.
         beneficiaries = sorted(
             name
-            for name, completion in open_window.expected.items()
-            if completion > now and name in open_window.accelerable
+            for name, other in open_window.retrainings.items()
+            if other.accelerable and other.completion > now
         )
-        if reclaimed <= 0 or not beneficiaries:
-            return True
-        share = alloc / len(beneficiaries)
-        for name in beneficiaries:
-            # The job runs only past max(now, ready): remaining work is the
-            # burn from there, and the accelerated completion can never land
-            # before the checkpoint the retraining is waiting on.
-            effective_start = max(now, open_window.ready.get(name, now))
-            remaining_work = (
-                open_window.expected[name] - effective_start
-            ) * open_window.alloc[name]
-            new_alloc = open_window.alloc[name] + share
-            new_completion = effective_start + remaining_work / new_alloc
-            open_window.alloc[name] = new_alloc
-            open_window.expected[name] = new_completion
-            open_window.overrides[name] = new_completion - open_window.start
-            self._calendar.schedule(
-                RetrainingComplete(
-                    time=new_completion,
-                    site=source,
-                    stream=name,
-                    window_index=open_window.window_index,
-                )
-            )
+        if reclaimed > 0 and beneficiaries:
+            share = record.alloc / len(beneficiaries)
+            for name in beneficiaries:
+                self._reschedule(open_window, name, open_window.retrainings[name].alloc + share)
         return True
+
+    def _reschedule(self, open_window: _OpenSiteWindow, name: str, alloc: float) -> None:
+        """Run one in-flight retraining at ``alloc`` from now on.
+
+        The job runs only past ``max(now, ready)``: its remaining work is the
+        burn from there at the old allocation, conserved at the new one, so
+        the moved completion never lands before the checkpoint the job is
+        waiting on.  The completion event already on the calendar goes stale.
+        """
+        record = open_window.retrainings[name]
+        effective_start = max(self._calendar.now, record.ready)
+        remaining_work = (record.completion - effective_start) * record.alloc
+        record.alloc = alloc
+        record.completion = effective_start + remaining_work / alloc
+        record.override = record.completion - open_window.start
+        self._schedule_completion(open_window, name)
 
     def _rescale_site_retrainings(
         self, site_name: str, old_capacity: int, new_capacity: int
@@ -1007,72 +971,34 @@ class FleetSimulator:
         """Replan a site's in-flight retrainings after a capacity change
         (``GpuFailure`` / ``GpuRecovered`` mid-window).
 
-        Every allocation-driven in-flight retraining keeps its share of the
+        Every accelerable in-flight retraining keeps its share of the
         machine: its allocation scales by ``new/old`` capacity and its
         completion is rescheduled with remaining work conserved — later on a
         shrink (possibly past the window end, where it settles as not
-        completed), earlier on a recovery.  Fixed external completions
-        (cloud offload) are untouched.  A shrink to zero cancels everything
-        in flight: with no GPUs there is nothing to finish on.  The site's
-        next plan then sees the rebuilt server.
+        completed), earlier on a recovery.  A shrink to zero cancels every
+        retraining with a completion event and reclaims nothing: with no
+        GPUs there is nothing to finish on.  The site's next plan then sees
+        the rebuilt server.
         """
         open_window = self._open_windows.get(site_name)
         if open_window is None:
             return
         now = self._calendar.now
         if new_capacity <= 0:
-            site = self._controller.site(site_name)
-            for name in sorted(open_window.expected):
-                expected = open_window.expected[name]
-                del open_window.expected[name]
-                alloc = open_window.alloc.pop(name, 0.0)
-                ready = open_window.ready.pop(name, now)
-                open_window.accelerable.discard(name)
-                open_window.overrides.pop(name, None)
-                open_window.retrainings_cancelled += 1
-                # The work burned so far dies with the GPUs — pure waste.
-                open_window.wasted_gpu_seconds += (
-                    max(0.0, min(now, expected) - ready) * alloc
-                )
-                outcome = site.settle_stream(open_window.plan, name, cancelled=True)
-                self._record_settled(open_window, name, outcome)
-                self._calendar.schedule(
-                    InferenceReconfigured(
-                        time=now,
-                        site=site_name,
-                        stream=name,
-                        inference_gpu=0.0,
-                        reason="gpu_failure",
-                    )
-                )
+            for name in sorted(open_window.retrainings):
+                if open_window.retrainings[name].completion < math.inf:
+                    self._cancel_retraining(open_window, name, "gpu_failure", reclaim=False)
             return
         if old_capacity <= 0:
-            # Recovering from a total GPU loss: everything in flight was
-            # cancelled when capacity hit zero, so there is nothing to
-            # rescale — the site's next boundary replans at full strength.
+            # Recovering from a total GPU loss: every retraining with a
+            # completion event was cancelled when capacity hit zero, so there
+            # is nothing to rescale — the next boundary replans at full strength.
             return
         ratio = new_capacity / old_capacity
-        for name in sorted(open_window.expected):
-            if name not in open_window.accelerable:
-                continue
-            expected = open_window.expected[name]
-            if expected <= now:
-                continue
-            effective_start = max(now, open_window.ready.get(name, now))
-            remaining_work = (expected - effective_start) * open_window.alloc[name]
-            new_alloc = open_window.alloc[name] * ratio
-            new_completion = effective_start + remaining_work / new_alloc
-            open_window.alloc[name] = new_alloc
-            open_window.expected[name] = new_completion
-            open_window.overrides[name] = new_completion - open_window.start
-            self._calendar.schedule(
-                RetrainingComplete(
-                    time=new_completion,
-                    site=site_name,
-                    stream=name,
-                    window_index=open_window.window_index,
-                )
-            )
+        for name in sorted(open_window.retrainings):
+            record = open_window.retrainings[name]
+            if record.accelerable and record.completion > now:
+                self._reschedule(open_window, name, record.alloc * ratio)
 
     def _record_settled(
         self, open_window: _OpenSiteWindow, name: str, outcome: StreamWindowOutcome
@@ -1098,26 +1024,18 @@ class FleetSimulator:
         site = self._controller.site(site_name)
         plan = open_window.plan
         for name in plan.pending_streams():
+            record = open_window.retrainings.get(name)
             outcome = site.settle_stream(
-                plan, name, completion_offset=open_window.overrides.pop(name, None)
+                plan, name, completion_offset=record.override if record is not None else None
             )
             self._record_settled(open_window, name, outcome)
             # A retraining that burned local GPU all window without landing
             # (planned past the end, or rescheduled past it by a capacity
             # shrink) paid for nothing: charge its burn as waste.
-            planned = plan.streams[name]
-            if planned.decision.retraining_gpu > 0 and not outcome.retraining_completed:
-                ready = open_window.ready.get(
-                    name, open_window.start + planned.retraining_start_offset
-                )
-                alloc = open_window.alloc.get(name, planned.decision.retraining_gpu)
+            if record is not None and not outcome.retraining_completed:
                 open_window.wasted_gpu_seconds += (
-                    max(0.0, open_window.end - ready) * alloc
+                    max(0.0, open_window.end - record.ready) * record.alloc
                 )
-        open_window.expected.clear()
-        open_window.alloc.clear()
-        open_window.ready.clear()
-        open_window.accelerable.clear()
         result = plan.result
         cost, saved = open_window.profiling
         # WAN faults that fired during this window land in its stats row.

@@ -16,6 +16,7 @@ how it hurts the real system), not as mis-measurement.
 from __future__ import annotations
 
 import contextlib
+import numbers
 from dataclasses import dataclass, field
 from typing import ContextManager, Dict, List, Mapping, Optional, Tuple
 
@@ -300,10 +301,12 @@ class Simulator:
     # -------------------------------------------------------------- execution
     def run(self, num_windows: int, *, start_window: int = 0) -> SimulationResult:
         """Simulate ``num_windows`` consecutive retraining windows."""
-        if num_windows < 1:
-            raise SimulationError("num_windows must be >= 1")
-        if start_window < 0:
-            raise SimulationError("start_window must be non-negative")
+        if not isinstance(num_windows, numbers.Integral) or num_windows < 1:
+            raise SimulationError(f"num_windows must be an integer >= 1, got {num_windows}")
+        if not isinstance(start_window, numbers.Integral) or start_window < 0:
+            raise SimulationError(
+                f"start_window must be a non-negative integer, got {start_window}"
+            )
         result = SimulationResult(
             policy_name=self._policy.name, num_gpus=self._server.spec.num_gpus
         )

@@ -9,13 +9,20 @@ monotonically as the fault intensity rises.
 
 import statistics
 
-from repro.fleet import FleetSimulator, make_fleet
+from repro.fleet import (
+    FleetSimulator,
+    InferenceReconfigured,
+    MigrationStarted,
+    make_fleet,
+)
+from repro.fleet.calendar import EventCalendar
 from repro.fleet.chaos import (
     ChaosInjector,
     run_chaos_sweep,
     run_chaos_trial,
 )
 from repro.utils.clock import ManualClock
+from repro.utils.rng import stable_seed
 
 SWEEP_SEEDS = range(20)
 
@@ -73,6 +80,48 @@ class TestChaosSweep:
         assert lossless >= moderate >= hostile
         # And the ordering is not vacuous: faults must actually cost accuracy.
         assert lossless > hostile
+
+    def test_trace_only_markers_never_reach_the_calendar(self, monkeypatch):
+        """Allocation changes and migration starts are written into the
+        telemetry ring when they happen; only events with a handler are
+        scheduled.  Seed 3 evacuates, completes and loses a whole site's
+        GPUs, so every marker reason shows up."""
+        scheduled = []
+        schedule = EventCalendar.schedule
+
+        def spy(calendar, event):
+            scheduled.append(type(event))
+            return schedule(calendar, event)
+
+        monkeypatch.setattr(EventCalendar, "schedule", spy)
+        injector = ChaosInjector(seed=stable_seed("chaos-schedule", 3), intensity=1.0)
+        clock = ManualClock()
+        controller = make_fleet(
+            3,
+            2,
+            gpus_per_site=4,
+            seed=3,
+            clock=clock,
+            profile_sharing=True,
+            wan_faults=injector.wan_faults(),
+        )
+        scenario = injector.compile(
+            [site.name for site in controller.sites],
+            window_duration=200.0,
+            num_windows=6,
+            gpus_per_site=4,
+        )
+        simulator = FleetSimulator(controller, scenario, clock=clock)
+        simulator.run(6)
+        assert scheduled
+        assert InferenceReconfigured not in scheduled
+        assert MigrationStarted not in scheduled
+        trace = simulator.event_trace
+        assert any(isinstance(event, MigrationStarted) for event in trace)
+        reasons = {
+            event.reason for event in trace if isinstance(event, InferenceReconfigured)
+        }
+        assert reasons == {"retraining_complete", "retraining_cancelled", "gpu_failure"}
 
 
 class TestChaosInjector:

@@ -54,3 +54,15 @@ class TestWorkCounterGate:
         assert measured["profiles.queries"] == expected["profiles.queries"] + 1
         assert len(failures) == 1
         assert failures[0].startswith("profiles.queries@steady_long is ")
+
+    def test_record_lists_every_changed_value(self, bench_counters):
+        baseline = {"steady_long": {name: 1 for name in bench_counters.COUNTERS}}
+        measured = {
+            "steady_long": dict(baseline["steady_long"], **{"simulation.settle_calls": 2}),
+            "dense_sites": {name: 3 for name in bench_counters.COUNTERS},
+        }
+        changes = bench_counters.record_changes(measured, baseline)
+        assert changes[0] == "simulation.settle_calls@steady_long 1 → 2"
+        assert changes[1:] == [
+            f"{name}@dense_sites None → 3" for name in bench_counters.COUNTERS
+        ]

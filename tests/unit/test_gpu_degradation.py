@@ -148,6 +148,12 @@ class TestFleetGpuDegradation:
         ]
         assert len(markers) == result.retrainings_cancelled
         assert site.gpus_lost == 0  # recovered before the run ended
+        # With no GPUs left nothing can absorb the freed capacity: the burn
+        # is written off and nothing is reclaimed.
+        stats = result.windows[1].site_stats["site-0"]
+        assert stats.retrainings_cancelled == 2
+        assert stats.wasted_gpu_seconds == 34.0
+        assert stats.reclaimed_gpu_seconds == 0.0
 
     def test_identical_seeds_replay_bit_identically(self):
         def run():

@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from repro.exceptions import FleetError, ProfilingError
+from repro.exceptions import FleetError, ProfilingError, SimulationError
 from repro.fleet import (
     FlashCrowd,
     FleetSimulator,
@@ -24,6 +24,8 @@ from repro.fleet import (
     make_fleet,
 )
 from repro.fleet.calendar import ControlTick, EventCalendar
+from repro.simulation.experiments import make_setup
+from repro.simulation.simulator import Simulator
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -126,6 +128,44 @@ def test_scenario_counts_must_be_whole_numbers(frozen_calendar, build, value):
     NaN surfaced as the cluster's ``SchedulingError``."""
     with pytest.raises(FleetError, match="integer"):
         build(value)
+
+
+def test_flash_crowd_dataset_must_be_known(frozen_calendar):
+    """An unknown dataset once passed validation and died at the trigger,
+    after the calendar advanced, as the stream generator's ``DatasetError``."""
+    with pytest.raises(FleetError, match="unknown dataset 'nope'.*cityscapes"):
+        FlashCrowd(at_seconds=10.0, dataset="nope")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda simulator: simulator.run_window(1.5),
+        lambda simulator: simulator.run(2.5),
+        lambda simulator: simulator.run(1, start_window=1.5),
+    ],
+    ids=["run_window", "run_num_windows", "run_start_window"],
+)
+def test_fleet_window_indices_must_be_whole_numbers(frozen_calendar, call):
+    """``run_window(1.5)`` once advanced the calendar to t=300 and died in
+    the drift substrate; ``run(2.5)`` reached ``range()`` as a
+    ``TypeError``."""
+    simulator = FleetSimulator(make_fleet(1, 1, seed=0))
+    with pytest.raises(FleetError, match="integer"):
+        call(simulator)
+    assert simulator._calendar is None
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(num_windows=2.5), dict(num_windows=1, start_window=0.5)],
+    ids=["num_windows", "start_window"],
+)
+def test_simulator_window_counts_must_be_whole_numbers(frozen_calendar, kwargs):
+    setup = make_setup("ekya", num_streams=1, num_gpus=1, seed=0)
+    simulator = Simulator(setup.server, setup.dynamics, setup.policy)
+    with pytest.raises(SimulationError, match="integer"):
+        simulator.run(**kwargs)
 
 
 @pytest.mark.parametrize(

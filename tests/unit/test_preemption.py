@@ -6,15 +6,18 @@ Two layers under test:
   ``plan_window`` + ``settle_window`` must reproduce ``run_window`` bit for
   bit, per-stream settles must be exactly-once, and the cancelled /
   completion-override settle modes must realise the right outcomes; and
-* the fleet's event loop — ``RetrainingComplete`` /
-  ``InferenceReconfigured`` scheduling, the stale-event guard at the exact
+* the fleet's event loop — ``RetrainingComplete`` scheduling and the
+  ``InferenceReconfigured`` markers, the stale-event guard at the exact
   completion instant (event already popped vs. still pending), double-cancel
   idempotence, and the chained evacuation in which the second hop cancels a
   retraining the first hop rescheduled.
 """
 
+import math
+
 import pytest
 
+from repro.cluster.network import NetworkLink
 from repro.exceptions import SimulationError
 from repro.fleet import (
     FleetSimulator,
@@ -126,9 +129,21 @@ def _fleet_simulator(scenario=None, *, num_sites=2, streams_per_site=4, seed=SEE
     return FleetSimulator(controller, scenario)
 
 
+def _scheduled(open_window):
+    """``open_window``'s in-flight retrainings that have a completion event."""
+    return {
+        name: record
+        for name, record in open_window.retrainings.items()
+        if record.completion < math.inf
+    }
+
+
 def _completion_times(simulator, site):
     """Absolute in-flight completion times of ``site``'s open window."""
-    return dict(simulator._open_windows[site].expected)
+    return {
+        name: record.completion
+        for name, record in _scheduled(simulator._open_windows[site]).items()
+    }
 
 
 class TestPreemptiveEventLoop:
@@ -202,7 +217,7 @@ class TestPreemptiveEventLoop:
         simulator = _fleet_simulator()
         simulator.run_until(201.0)
         open_window = simulator._open_windows["site-0"]
-        victim = min(open_window.expected)
+        victim = min(_completion_times(simulator, "site-0"))
         simulator._on_stream_departure(victim, "site-0", "test")
         cancelled = open_window.retrainings_cancelled
         reclaimed = open_window.reclaimed_gpu_seconds
@@ -217,18 +232,19 @@ class TestPreemptiveEventLoop:
         simulator = _fleet_simulator()
         first = simulator.run_until(201.0)
         open_window = simulator._open_windows["site-0"]
-        before = dict(open_window.expected)
+        before = _completion_times(simulator, "site-0")
         assert len(before) >= 2, "need a victim and at least one survivor"
         victim = min(before)
         survivors = sorted(set(before) - {victim})
         simulator._on_stream_departure(victim, "site-0", "test")
         now = simulator.now
         for name in survivors:
-            assert open_window.expected[name] < before[name]
+            record = open_window.retrainings[name]
+            assert record.completion < before[name]
             # Remaining work is conserved: new_alloc * new_remaining ==
             # old_alloc * old_remaining at the cancellation instant.
-            assert open_window.overrides[name] == open_window.expected[name] - 200.0
-            assert open_window.expected[name] > now
+            assert record.override == record.completion - 200.0
+            assert record.completion > now
         # Run to the window's end: the survivors settle at the rescheduled
         # (earlier) completions, stale original events firing as no-ops.
         # The in-progress cycle was already emitted by the first run_until;
@@ -268,11 +284,11 @@ class TestPreemptiveEventLoop:
         simulator = _fleet_simulator()
         first = simulator.run_until(201.0)
         open_window = simulator._open_windows["site-0"]
-        before = dict(open_window.expected)
+        before = _completion_times(simulator, "site-0")
         victim = min(before)
         survivors = sorted(set(before) - {victim})
         simulator._on_stream_departure(victim, "site-0", "test")
-        boosted = {name: open_window.alloc[name] for name in survivors}
+        boosted = {name: open_window.retrainings[name].alloc for name in survivors}
         simulator.run_until(400.0)
         reconfigured = {
             event.stream: event
@@ -306,36 +322,37 @@ class TestPreemptiveEventLoop:
         delayed_site = next(
             name
             for name, open_window in sorted(simulator._open_windows.items())
-            if any(ready > 0.0 for ready in open_window.ready.values())
+            if any(record.ready > 0.0 for record in _scheduled(open_window).values())
         )
         open_window = simulator._open_windows[delayed_site]
         delayed = [
             name
-            for name, ready in sorted(open_window.ready.items())
-            if ready > 0.0 and name in open_window.expected
+            for name, record in sorted(_scheduled(open_window).items())
+            if record.ready > 0.0
         ]
         assert delayed, "an evacuated stream retrains behind its WAN transfer"
         local = [
             name
-            for name, ready in sorted(open_window.ready.items())
-            if ready == 0.0 and name in open_window.expected
+            for name, record in sorted(_scheduled(open_window).items())
+            if record.ready == 0.0
         ]
         assert local, "the destination also has boundary-started retrainings"
 
         # Cancel a local stream: the delayed beneficiary accelerates, but
         # its completion can never precede the checkpoint arrival.
         target = delayed[0]
-        ready = open_window.ready[target]
-        before = open_window.expected[target]
-        before_alloc = open_window.alloc[target]
+        record = open_window.retrainings[target]
+        ready = record.ready
+        before = record.completion
+        before_alloc = record.alloc
         simulator._on_stream_departure(local[0], delayed_site, "test")
-        assert open_window.expected[target] < before
-        assert open_window.expected[target] >= ready
+        assert record.completion < before
+        assert record.completion >= ready
 
         # Cancel the delayed stream itself: reclaim is burn-only — the
         # remaining work past ``ready``, conserved by the acceleration.
         reclaimed_before = open_window.reclaimed_gpu_seconds
-        expected_burn = (open_window.expected[target] - ready) * open_window.alloc[target]
+        expected_burn = (record.completion - ready) * record.alloc
         assert expected_burn == pytest.approx((before - ready) * before_alloc)
         simulator._on_stream_departure(target, delayed_site, "test")
         increment = open_window.reclaimed_gpu_seconds - reclaimed_before
@@ -358,8 +375,8 @@ class TestPreemptiveEventLoop:
         probe = _fleet_simulator()
         probe.run_until(201.0)
         open_probe = probe._open_windows["site-0"]
-        inflight = dict(open_probe.expected)
-        allocs = dict(open_probe.alloc)
+        inflight = _completion_times(probe, "site-0")
+        allocs = {name: record.alloc for name, record in open_probe.retrainings.items()}
         assert len(inflight) >= 2
         instant = min(inflight.values()) - 1.0  # strictly before any completion
         expected_reclaim = sum(
@@ -381,3 +398,60 @@ class TestPreemptiveEventLoop:
         summary = result.summary()
         assert summary["retrainings_cancelled"] == len(inflight)
         assert summary["reclaimed_gpu_seconds"] == pytest.approx(expected_reclaim)
+
+
+class TestRetrainingPlannedPastTheWindowEnd:
+    """A retraining that cannot finish inside its window has no completion
+    event but burns GPU from its ready time to the boundary.
+
+    A site failure at t=0 evacuates site-0 over a 3 Mbit/s uplink, so the
+    evacuees' checkpoints land at t≈137.5 and their retrainings, planned to
+    start then, run past the 200 s window end.
+    """
+
+    @staticmethod
+    def _simulator():
+        slow = NetworkLink("slow", uplink_mbps=3.0, downlink_mbps=100.0)
+        controller = make_fleet(3, 4, gpus_per_site=2, links=[slow] * 3, seed=SEED)
+        scenario = Scenario(events=[SiteFailure(at_seconds=0.0, site="site-0")])
+        simulator = FleetSimulator(controller, scenario)
+        simulator.run_until(1.0)  # trigger + window-0 boundaries at t=0
+        return controller, simulator
+
+    def test_control_signals_expose_it_with_an_infinite_completion(self):
+        _, simulator = self._simulator()
+        signals = simulator._build_control_signals()
+        for site, stream in (("site-1", "cityscapes-0"), ("site-2", "cityscapes-3")):
+            info = signals.inflight_at(site, stream)
+            assert info.expected_completion == math.inf
+            assert not info.accelerable
+            assert 0.0 < info.ready < info.window_end
+
+    def test_departure_leaves_it_and_a_proactive_cancel_reclaims_it(self):
+        controller, simulator = self._simulator()
+        signals = simulator._build_control_signals()
+        victim = signals.inflight_at("site-1", "cityscapes-0")
+        survivor = signals.inflight_at("site-1", "cityscapes-7")
+        assert survivor.expected_completion == 150.0
+        open_window = simulator._open_windows["site-1"]
+
+        # A departure preempts only retrainings with a completion event.
+        simulator._on_stream_departure("cityscapes-0", "site-1", "test")
+        assert open_window.retrainings_cancelled == 0
+        assert open_window.reclaimed_gpu_seconds == 0.0
+
+        # The control plane's cancellation kills it, exactly once.
+        assert controller.request_cancellation("site-1", "cityscapes-0")
+        assert not controller.request_cancellation("site-1", "cityscapes-0")
+        assert open_window.retrainings_cancelled == 1
+        # It never started burning (t=0 < ready): the whole burn from ready
+        # to the boundary is reclaimed and nothing is wasted.
+        reclaimed = (victim.window_end - victim.ready) * victim.alloc
+        assert open_window.reclaimed_gpu_seconds == reclaimed
+        assert reclaimed == pytest.approx(12.4933, abs=1e-4)
+        assert open_window.wasted_gpu_seconds == 0.0
+        # The freed allocation doubles the survivor's: it finishes in half
+        # the time.
+        after = simulator._build_control_signals()
+        assert after.inflight_at("site-1", "cityscapes-0") is None
+        assert after.inflight_at("site-1", "cityscapes-7").expected_completion == 75.0
