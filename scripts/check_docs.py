@@ -1,12 +1,16 @@
 #!/usr/bin/env python
-"""Link-check the documentation tree so docs cannot rot silently.
+"""Check the documentation tree so docs cannot rot silently.
 
-Scans ``README.md`` and ``docs/*.md`` for Markdown links and verifies that
-every *relative* link target exists on disk (anchors are stripped; external
-``http(s)``/``mailto`` links are out of scope — CI must not depend on the
-network).  Exits non-zero listing every broken link.
+Scans ``README.md`` and ``docs/*.md`` for two kinds of rot:
 
-Run from anywhere::
+* **Broken links.**  Every *relative* Markdown link target must exist on
+  disk (anchors are stripped; external ``http(s)``/``mailto`` links are out
+  of scope — CI must not depend on the network).
+* **Stale keywords.**  Every ``make_fleet(``, ``FleetSimulator(`` and
+  ``FleetController(`` call written in the docs may pass only keywords the
+  current signature accepts, so a removed option cannot stay documented.
+
+Exits non-zero listing every finding.  Run from anywhere::
 
     python scripts/check_docs.py
 
@@ -16,10 +20,13 @@ and as CI's ``docs`` job next to ``python -m doctest README.md``.
 
 from __future__ import annotations
 
+import functools
+import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
-from typing import List
+from typing import FrozenSet, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,12 +37,27 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: Link schemes that are not files on disk.
 _EXTERNAL = ("http://", "https://", "mailto:")
 
+#: A call of one of the ``repro.fleet`` constructors whose keywords are checked.
+_CALL = re.compile(r"(?<!\w)(make_fleet|FleetSimulator|FleetController)\(")
+
+#: A top-level ``name=`` argument (not ``==``).
+_KEYWORD = re.compile(r"\s*([A-Za-z_]\w*)\s*=(?!=)")
+
+#: Doctest prompts that open the continuation lines of a multi-line call.
+_PROMPT = re.compile(r"^[ \t]*(?:>>>|\.\.\.)(?=[ \t]|$)", re.MULTILINE)
+
 
 def documentation_files(root: Path = REPO_ROOT) -> List[Path]:
     """The Markdown files under check: the README plus the docs tree."""
     files = [root / "README.md"]
     files.extend(sorted((root / "docs").glob("*.md")))
     return [path for path in files if path.exists()]
+
+
+def _location(path: Path, text: str, offset: int) -> str:
+    line = text[:offset].count("\n") + 1
+    shown = path.relative_to(REPO_ROOT) if path.is_relative_to(REPO_ROOT) else path
+    return f"{shown}:{line}"
 
 
 def broken_links(path: Path) -> List[str]:
@@ -51,11 +73,72 @@ def broken_links(path: Path) -> List[str]:
             continue
         resolved = (path.parent / relative).resolve()
         if not resolved.exists():
-            line = text[: match.start()].count("\n") + 1
-            failures.append(
-                f"{path.relative_to(REPO_ROOT)}:{line}: broken link -> {target}"
-            )
+            failures.append(f"{_location(path, text, match.start())}: broken link -> {target}")
     return failures
+
+
+def _top_level_arguments(text: str, start: int) -> Optional[List[str]]:
+    """The top-level arguments of the call whose ``(`` ends at ``start``.
+
+    ``None`` when the call does not close within its paragraph or code
+    block (prose that merely names the constructor).
+    """
+    arguments: List[str] = []
+    depth = 0
+    quote = ""
+    begin = start
+    for index in range(start, len(text)):
+        char = text[index]
+        if text.startswith("\n\n", index) or text.startswith("```", index):
+            return None
+        if quote:
+            if char == quote:
+                quote = ""
+        elif char in "\"'":
+            quote = char
+        elif char in "([{":
+            depth += 1
+        elif char in ")]}" and depth:
+            depth -= 1
+        elif char == ")":
+            arguments.append(text[begin:index])
+            return arguments
+        elif char == "," and not depth:
+            arguments.append(text[begin:index])
+            begin = index + 1
+    return None
+
+
+def documented_calls(path: Path) -> List[Tuple[str, str, List[str]]]:
+    """Every checked constructor call in ``path``: ``(location, name, keywords)``."""
+    text = _PROMPT.sub("", path.read_text(encoding="utf-8"))
+    calls = []
+    for match in _CALL.finditer(text):
+        arguments = _top_level_arguments(text, match.end())
+        if arguments is None:
+            continue
+        keywords = [m.group(1) for m in map(_KEYWORD.match, arguments) if m is not None]
+        calls.append((_location(path, text, match.start()), match.group(1), keywords))
+    return calls
+
+
+@functools.lru_cache(maxsize=None)
+def _accepted_keywords(name: str) -> FrozenSet[str]:
+    """The keyword names the current ``repro.fleet.<name>`` accepts."""
+    if str(REPO_ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT / "src"))
+    target = getattr(importlib.import_module("repro.fleet"), name)
+    return frozenset(inspect.signature(target).parameters)
+
+
+def stale_keywords(path: Path) -> List[str]:
+    """Human-readable messages for every documented keyword that no longer exists."""
+    return [
+        f"{location}: {name}() has no keyword {keyword!r}"
+        for location, name, keywords in documented_calls(path)
+        for keyword in keywords
+        if keyword not in _accepted_keywords(name)
+    ]
 
 
 def main() -> int:
@@ -63,15 +146,23 @@ def main() -> int:
     if not files:
         print("no documentation files found (expected README.md and docs/*.md)")
         return 1
-    failures = []
-    for path in files:
-        failures.extend(broken_links(path))
-    if failures:
+    links = [message for path in files for message in broken_links(path)]
+    stale = [message for path in files for message in stale_keywords(path)]
+    if links:
         print("BROKEN DOCUMENTATION LINKS:")
-        for message in failures:
+        for message in links:
             print(f"  {message}")
+    if stale:
+        print("STALE DOCUMENTED KEYWORDS:")
+        for message in stale:
+            print(f"  {message}")
+    if links or stale:
         return 1
-    print(f"{len(files)} documentation files checked, all links resolve")
+    num_calls = sum(len(documented_calls(path)) for path in files)
+    print(
+        f"{len(files)} documentation files checked, all links resolve, "
+        f"{num_calls} documented fleet calls use current keywords"
+    )
     return 0
 
 

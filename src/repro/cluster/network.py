@@ -8,6 +8,7 @@ values the paper cites for 4G cellular and satellite links.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -33,10 +34,12 @@ class NetworkLink:
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.uplink_mbps <= 0 or self.downlink_mbps <= 0:
+        # Written to fail on NaN: a NaN or infinite link time reaches the
+        # fleet's event calendar as a transfer arrival that cannot fire.
+        if not (self.uplink_mbps > 0 and self.downlink_mbps > 0):
             raise ConfigurationError("link bandwidths must be positive")
-        if self.rtt_seconds < 0:
-            raise ConfigurationError("rtt_seconds must be non-negative")
+        if not 0 <= self.rtt_seconds < math.inf:
+            raise ConfigurationError("rtt_seconds must be non-negative and finite")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigurationError("loss_rate must be in [0, 1)")
 

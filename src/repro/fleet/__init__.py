@@ -47,8 +47,9 @@ One timeline, one site engine
 The calendar is the spine of every run:
 
 * ``FleetSimulator(controller, scenario).run(num_windows)`` steps fleets
-  whose sites share one ``window_duration`` window by window, and is
-  bit-identical across runs under a :class:`~repro.utils.clock.ManualClock`.
+  whose sites share one ``window_duration`` window by window from t=0 (a
+  second call continues with the next windows), and is bit-identical
+  across runs under a :class:`~repro.utils.clock.ManualClock`.
 * **Scenarios name absolute times**: ``FlashCrowd(at_seconds=450.0, ...)``
   fires mid-window; expiries use ``recovery_at`` / ``until_at``.  To fire
   at the start of window ``k`` of a fleet on 200 s windows, pass
@@ -117,8 +118,8 @@ Capabilities, opted into explicitly:
   (``event_trace`` is decoded from it on demand and served cached),
   adaptively sampled per-stream accuracy series with exact count/mean/p10
   sketches, and one packed structured array holding every (site, window)
-  counter row.  ``make_fleet(..., telemetry=TelemetryConfig(...))`` sizes
-  it; :meth:`TelemetryPlane.export_text` renders a run's summary as a
+  counter row, each sized by a constant of :mod:`repro.fleet.telemetry`;
+  :meth:`TelemetryPlane.export_text` renders a run's summary as a
   Prometheus-style text exposition (``scripts/export_metrics.py``).
   Surfaced as ``telemetry_events_dropped`` / ``telemetry_sampled_streams``
   / ``telemetry_ring_occupancy`` in :meth:`FleetResult.summary`.
@@ -194,7 +195,6 @@ from .telemetry import (
     EventRing,
     P2Quantile,
     SiteStatsTable,
-    TelemetryConfig,
     TelemetryPlane,
 )
 
@@ -247,7 +247,6 @@ __all__ = [
     "EventRing",
     "P2Quantile",
     "SiteStatsTable",
-    "TelemetryConfig",
     "TelemetryPlane",
     "WanFaultModel",
     "combined_loss",

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Tuple
 
 from ..exceptions import FleetError
@@ -316,26 +316,20 @@ class MigrationStarted(SimEvent):
         )
 
 
-@dataclass
 class EventCalendar:
     """A heap of timestamped events owning the fleet's simulated clock.
 
     Events pop in ``(time, priority, seq)`` order: earliest first, semantic
     priority breaking timestamp ties, scheduling order breaking the rest —
-    fully deterministic for a given schedule sequence.  Scheduling into the
-    past is an error: popped time is the simulation's ``now`` and never moves
-    backwards.
+    fully deterministic for a given schedule sequence.  Simulated time starts
+    at t=0.  Scheduling into the past is an error: popped time is the
+    simulation's ``now`` and never moves backwards.
     """
 
-    start_time: float = 0.0
-    _heap: List[Tuple[float, int, int, SimEvent]] = field(default_factory=list)
-    _seq: int = 0
-    _now: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.start_time < 0:
-            raise FleetError("start_time must be non-negative")
-        self._now = float(self.start_time)
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, int, SimEvent]] = []
+        self._seq = 0
+        self._now = 0.0
 
     @property
     def now(self) -> float:

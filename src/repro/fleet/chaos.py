@@ -32,6 +32,7 @@ intensity comparisons have a faithful baseline.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -77,8 +78,11 @@ class ChaosInjector:
     intensity: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.intensity < 0:
-            raise FleetError(f"intensity must be non-negative, got {self.intensity}")
+        # Written to fail on NaN, which would otherwise surface in compile().
+        if not 0 <= self.intensity < math.inf:
+            raise FleetError(f"intensity must be non-negative and finite, got {self.intensity}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise FleetError(f"seed must be a non-negative integer, got {self.seed}")
 
     def wan_faults(self) -> Optional[WanFaultModel]:
         """The WAN loss model this schedule pairs with (``None`` at zero)."""
@@ -107,10 +111,10 @@ class ChaosInjector:
         heterogeneous-window fleets too; triggers land strictly inside the
         ``num_windows * window_duration`` horizon.
         """
-        if num_windows < 1:
-            raise FleetError("num_windows must be >= 1")
-        if window_duration <= 0:
-            raise FleetError("window_duration must be positive")
+        if not isinstance(num_windows, numbers.Integral) or num_windows < 1:
+            raise FleetError(f"num_windows must be an integer >= 1, got {num_windows}")
+        if not 0 < window_duration < math.inf:
+            raise FleetError(f"window_duration must be positive and finite, got {window_duration}")
         if self.intensity == 0 or not site_names:
             return Scenario()
         rng = ensure_rng(self.seed)

@@ -47,7 +47,6 @@ from .site import EdgeSite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .factory import ProfileSharing
-    from .telemetry import TelemetryConfig
 
 
 class FleetController:
@@ -63,7 +62,6 @@ class FleetController:
         max_migrations_per_window: int = 4,
         profile_sharing: Optional["ProfileSharing"] = None,
         wan_faults: Optional[WanFaultModel] = None,
-        telemetry: Optional["TelemetryConfig"] = None,
         control_policy: Optional[ControlPolicy] = None,
         sanitize: bool = False,
         seed: int = 0,
@@ -93,7 +91,6 @@ class FleetController:
         self._max_migrations = max_migrations_per_window
         self._profile_sharing = profile_sharing
         self._wan_faults = wan_faults
-        self._telemetry = telemetry
         self._control_policy = (
             control_policy if control_policy is not None else GreedyRebalancePolicy()
         )
@@ -173,18 +170,6 @@ class FleetController:
         drawn and the lossless engine is reproduced bit for bit.
         """
         return self._wan_faults
-
-    @property
-    def telemetry(self) -> Optional["TelemetryConfig"]:
-        """Telemetry-plane sizing for simulators built over this fleet.
-
-        Set by :func:`~repro.fleet.factory.make_fleet` when built with
-        ``telemetry=...``; ``None`` means the
-        :class:`~repro.fleet.simulator.FleetSimulator` uses the default
-        :class:`~repro.fleet.telemetry.TelemetryConfig` (sized so nothing
-        evicts at current benchmark scales).
-        """
-        return self._telemetry
 
     def set_departure_hook(
         self, hook: Optional[Callable[[str, str, str], None]]

@@ -21,8 +21,8 @@ from ..core.microprofiler import (
     OracleProfileSource,
     SharedProfileOracle,
 )
-from ..datasets.generators import make_workload
-from ..exceptions import FleetError
+from ..datasets.generators import dataset_spec, make_workload
+from ..exceptions import DatasetError, FleetError
 from ..profiles.dynamics import AnalyticDynamics, StreamDynamics
 from ..profiles.fleet_store import FleetProfileStore
 from ..simulation.experiments import DEFAULT_PROFILER_ERROR_STD, make_config_space
@@ -39,7 +39,6 @@ from .faults import WanFaultModel
 from .migration import PROFILE_SIZE_MBITS
 from .policy import ControlPolicy, GreedyRebalancePolicy, PredictiveProfitPolicy
 from .site import EdgeSite, SiteSpec
-from .telemetry import TelemetryConfig
 
 #: Admission-policy names accepted by :func:`build_admission` / :func:`make_fleet`.
 ADMISSION_NAMES = ("least_loaded", "accuracy_greedy", "random")
@@ -97,8 +96,6 @@ def build_policy(name: str) -> ControlPolicy:
 
     ``"greedy"`` is the bit-identical default load rebalancer;
     ``"predictive"`` the profit-driven plane (``docs/control_plane.md``).
-    Pass a :class:`~repro.fleet.policy.ControlPolicy` instance to
-    :func:`make_fleet` instead when non-default knobs are needed.
     """
     if name == "greedy":
         return GreedyRebalancePolicy()
@@ -124,11 +121,9 @@ def make_fleet(
     profiler_error_std: float = DEFAULT_PROFILER_ERROR_STD,
     clock: Optional[Clock] = None,
     profile_sharing: bool = False,
-    profiling_settings: Optional[MicroProfilerSettings] = None,
     profile_decay_half_life: Optional[float] = None,
     preemptive_sites: bool = True,
     wan_faults: Optional[WanFaultModel] = None,
-    telemetry: Optional[TelemetryConfig] = None,
     control_policy: Union[str, ControlPolicy] = "greedy",
     sanitize: bool = False,
 ) -> FleetController:
@@ -161,12 +156,8 @@ def make_fleet(
     fleet-wide :class:`~repro.profiles.fleet_store.FleetProfileStore` over
     the event calendar (paying WAN uplink), new/migrated streams warm-start
     from neighbours' curves, and an ``accuracy_greedy`` admission scores
-    with the store's post-retraining curve.  ``profiling_settings`` tunes
-    the modelled micro-profiler; when omitted, the fleet caps warm-start
-    pruning at ``max_configs=DEFAULT_SHARED_MAX_CONFIGS``.  A custom
-    settings object is used verbatim — set its ``max_configs`` *below* the
-    retraining-grid size (12 here), or warm starts prune nothing and the
-    saved-profiling metric stays 0.
+    with the store's post-retraining curve.  Warm-started streams profile
+    at most :data:`DEFAULT_SHARED_MAX_CONFIGS` candidate configurations.
 
     ``profile_decay_half_life`` (seconds; requires ``profile_sharing=True``)
     ages pushed curves out of the fleet store: every push decays the key's
@@ -196,14 +187,6 @@ def make_fleet(
     never draws the fault RNG: the lossless engine is reproduced bit for
     bit.
 
-    ``telemetry`` sizes the bounded-memory telemetry plane every
-    :class:`~repro.fleet.simulator.FleetSimulator` over this fleet writes
-    into (event-envelope ring capacity, per-stream series rings, adaptive
-    sampling knobs — see :class:`~repro.fleet.telemetry.TelemetryConfig`).
-    ``None`` (default) uses defaults sized so nothing is ever evicted at
-    current benchmark scales; telemetry is always on and changes no
-    observable result, only bounds memory.
-
     ``control_policy`` selects what runs at every ``ControlTick``: a name
     from :data:`POLICY_NAMES` or a prebuilt
     :class:`~repro.fleet.policy.ControlPolicy` instance.  The default
@@ -231,18 +214,20 @@ def make_fleet(
             f"preemptive_sites={preemptive_sites!r}: the boundary-settled site engine "
             "was removed and every site is event-driven; drop the keyword"
         )
+    if not isinstance(seed, numbers.Integral):
+        raise FleetError(f"seed must be an integer, got {seed!r}")
+    seed = int(seed)  # a numpy integer overflows the stream generator's seed hash
+    try:
+        dataset_spec(dataset)
+    except DatasetError as exc:
+        raise FleetError(f"make_fleet: {exc}") from exc
     durations = (
         [float(window_duration)]
-        if isinstance(window_duration, (int, float))
+        if isinstance(window_duration, numbers.Real)
         else [float(duration) for duration in window_duration]
     )
     if not durations or not all(0 < duration < math.inf for duration in durations):
         raise FleetError(f"window_duration entries must be positive and finite, got {durations}")
-    if profiling_settings is not None and not profile_sharing:
-        raise FleetError(
-            "profiling_settings only tunes the shared profile source; "
-            "pass profile_sharing=True (or drop the settings)"
-        )
     if profile_decay_half_life is not None and not profile_sharing:
         raise FleetError(
             "profile_decay_half_life only ages the fleet profile store; "
@@ -266,13 +251,10 @@ def make_fleet(
     sharing: Optional[ProfileSharing] = None
     if profile_sharing:
         fleet_store = FleetProfileStore(decay_half_life=profile_decay_half_life)
-        settings = profiling_settings or MicroProfilerSettings(
-            max_configs=DEFAULT_SHARED_MAX_CONFIGS
-        )
         profile_source: OracleProfileSource = SharedProfileOracle(
             dynamics,
             fleet_store,
-            settings=settings,
+            settings=MicroProfilerSettings(max_configs=DEFAULT_SHARED_MAX_CONFIGS),
             accuracy_error_std=profiler_error_std,
             seed=seed + 1,
         )
@@ -309,7 +291,6 @@ def make_fleet(
         max_migrations_per_window=max_migrations_per_window,
         profile_sharing=sharing,
         wan_faults=wan_faults,
-        telemetry=telemetry,
         control_policy=control_policy,
         sanitize=sanitize,
         seed=seed,

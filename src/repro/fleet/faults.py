@@ -24,6 +24,8 @@ the lossless engine bit for bit.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -70,12 +72,19 @@ class WanFaultModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate < 1.0:
             raise FleetError("loss_rate must be in [0, 1)")
-        if self.max_retries < 0:
-            raise FleetError("max_retries must be non-negative")
-        if self.backoff_seconds < 0:
-            raise FleetError("backoff_seconds must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise FleetError("backoff_factor must be >= 1")
+        # Written to fail on NaN: a NaN or infinite backoff reaches the event
+        # calendar as a retry that cannot fire, and a fractional count or
+        # seed fails deep in ``range()`` or the RNG, mid-run.
+        if not isinstance(self.max_retries, numbers.Integral) or self.max_retries < 0:
+            raise FleetError(f"max_retries must be a non-negative integer, got {self.max_retries}")
+        if not 0 <= self.backoff_seconds < math.inf:
+            raise FleetError(
+                f"backoff_seconds must be non-negative and finite, got {self.backoff_seconds}"
+            )
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise FleetError(f"backoff_factor must be >= 1 and finite, got {self.backoff_factor}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise FleetError(f"seed must be a non-negative integer, got {self.seed}")
         if self.push_loss_rate is not None and not 0.0 <= self.push_loss_rate < 1.0:
             raise FleetError("push_loss_rate must be in [0, 1)")
 

@@ -6,12 +6,12 @@ tie-breaks — so a fleet built with the default policy is bit-identical to
 every engine before the policy layer existed (the golden-parity and
 ``run_benchmarks.py --quick`` gates pin this).
 
-The only addition is a pure optimisation: the greedy scan's outcome is a
-function of the healthy sites' load vector alone (stream counts and
-effective GPUs; accuracy dynamics only pick the *victim* once a migration
-is already decided), so when a scan found nothing to do and the load
-vector has not changed since, the next scan provably finds nothing too
-and is skipped.  Skips are counted in the fleet summary as
+The only addition is a pure optimisation, always on: the greedy scan's
+outcome is a function of the healthy sites' load vector alone (stream
+counts and effective GPUs; accuracy dynamics only pick the *victim* once a
+migration is already decided), so when a scan found nothing to do and the
+load vector has not changed since, the next scan provably finds nothing
+too and is skipped.  Skips are counted in the fleet summary as
 ``control_scans_skipped``.
 """
 
@@ -45,16 +45,14 @@ class GreedyRebalancePolicy(ControlPolicy):
     healthy site.  At most ``max_migrations_per_window`` streams move per
     scan so the fleet never thrashes.
 
-    ``skip_no_op_scans`` (on by default — it is output-identical) early-outs
-    a scan when the previous scan returned no migrations and the healthy
-    load vector is unchanged since.
+    A scan early-outs (output-identically) when the previous scan returned
+    no migrations and the healthy load vector is unchanged since.
     """
 
     name = "greedy"
     wants_signals = False
 
-    def __init__(self, *, skip_no_op_scans: bool = True) -> None:
-        self._skip_no_op_scans = skip_no_op_scans
+    def __init__(self) -> None:
         self._idle_key: Optional[_LoadKey] = None
 
     @staticmethod
@@ -92,12 +90,10 @@ class GreedyRebalancePolicy(ControlPolicy):
         healthy = controller.healthy_sites
         if len(healthy) < 2:
             return events
-        load_key: Optional[_LoadKey] = None
-        if self._skip_no_op_scans:
-            load_key = self._load_key(healthy)
-            if load_key == self._idle_key:
-                controller.control_counters["control_scans_skipped"] += 1
-                return events
+        load_key = self._load_key(healthy)
+        if load_key == self._idle_key:
+            controller.control_counters["control_scans_skipped"] += 1
+            return events
         while len(events) < controller.max_migrations_per_window:
             loads = [site.load for site in healthy]
             mean_load = sum(loads) / len(loads)

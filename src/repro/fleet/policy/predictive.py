@@ -17,8 +17,8 @@ predicts:
   half_life)`` — the store's own decay law used as a drift forecast.
 * **WAN cost** — the checkpoint transfer time under the *current* link
   state (degraded or faulty links make migrations proportionally less
-  attractive), normalised by the destination's window.  The default
-  ``wan_cost_weight`` is below 1 because the transfer is paid once while
+  attractive), normalised by the destination's window.
+  ``WAN_COST_WEIGHT`` is below 1 because the transfer is paid once while
   the gain recurs every remaining window the placement persists — the
   weight amortises a one-shot cost over that short horizon.
 * **Cancellation waste** — the GPU-seconds the source site has already
@@ -28,16 +28,16 @@ predicts:
   such penalty — exactly the "prefer victims whose retraining hasn't
   started paying or has already settled" rule.
 
-Moves whose best profit still does not clear ``min_profit`` are rejected
+Moves whose best profit still does not clear ``MIN_PROFIT`` are rejected
 (counted as ``migrations_rejected`` in the fleet summary) — the policy
-would rather do nothing than thrash.  Destinations with ``backlog_limit``
+would rather do nothing than thrash.  Destinations with ``BACKLOG_LIMIT``
 or more checkpoints already in flight toward them are excluded outright:
 migrating into a congested site queues behind its WAN backlog.
 
 Independently of migration, the policy proactively cancels in-flight
 retrainings that no longer pay — completion at or past the window end
 (e.g. after a GPU flap rescaled the job), or a remaining pay fraction below
-``cancellation_pay_threshold`` — whenever the site has other accelerable
+``CANCELLATION_PAY_THRESHOLD`` — whenever the site has other accelerable
 in-flight retrainings to absorb the reclaimed GPU-seconds via the
 plan/settle machinery.
 """
@@ -68,26 +68,20 @@ class PredictiveProfitPolicy(ControlPolicy):
     name = "predictive"
     wants_signals = True
 
-    def __init__(
-        self,
-        *,
-        min_profit: float = 0.0,
-        wan_cost_weight: float = 0.4,
-        cancellation_cost_weight: float = 1.0,
-        backlog_limit: int = 2,
-        cancellation_pay_threshold: float = 0.05,
-    ) -> None:
-        if wan_cost_weight < 0 or cancellation_cost_weight < 0:
-            raise FleetError("profit cost weights must be non-negative")
-        if backlog_limit < 1:
-            raise FleetError("backlog_limit must be at least 1")
-        if not 0.0 <= cancellation_pay_threshold <= 1.0:
-            raise FleetError("cancellation_pay_threshold must be within [0, 1]")
-        self._min_profit = min_profit
-        self._wan_cost_weight = wan_cost_weight
-        self._cancellation_cost_weight = cancellation_cost_weight
-        self._backlog_limit = backlog_limit
-        self._cancellation_pay_threshold = cancellation_pay_threshold
+    #: A move must predict more profit than this, else the scan is rejected.
+    MIN_PROFIT = 0.0
+    #: Weight of the WAN transfer time, as a fraction of the destination's
+    #: window (below 1: the transfer is paid once, the gain recurs).
+    WAN_COST_WEIGHT = 0.4
+    #: Weight of the victim's sunk retraining GPU-seconds, as a fraction of
+    #: the source window's GPU-seconds.
+    CANCELLATION_COST_WEIGHT = 1.0
+    #: Destinations with this many checkpoints in flight toward them are
+    #: excluded.
+    BACKLOG_LIMIT = 2
+    #: In-flight retrainings that would serve less than this fraction of
+    #: their window are cancelled when survivors can absorb the GPUs.
+    CANCELLATION_PAY_THRESHOLD = 0.05
 
     # ------------------------------------------------------------- main entry
     def rebalance(
@@ -125,7 +119,7 @@ class PredictiveProfitPolicy(ControlPolicy):
             if best is None:
                 break
             profit, victim, _, destination = best
-            if profit <= self._min_profit:
+            if profit <= self.MIN_PROFIT:
                 # Candidates existed but none pays: doing nothing beats
                 # thrashing.  One rejection per scan — the remaining
                 # candidates are by construction no better.
@@ -166,7 +160,7 @@ class PredictiveProfitPolicy(ControlPolicy):
                 for destination in healthy:
                     if destination.name == source.name:
                         continue
-                    if backlog.get(destination.name, 0) >= self._backlog_limit:
+                    if backlog.get(destination.name, 0) >= self.BACKLOG_LIMIT:
                         continue  # congested: WAN backlog already queued there
                     profit = self._profit(
                         controller,
@@ -209,8 +203,8 @@ class PredictiveProfitPolicy(ControlPolicy):
         wan_cost = transfer / destination.spec.window_duration
         return (
             gain
-            - self._wan_cost_weight * wan_cost
-            - self._cancellation_cost_weight * waste_penalty
+            - self.WAN_COST_WEIGHT * wan_cost
+            - self.CANCELLATION_COST_WEIGHT * waste_penalty
         )
 
     def _cancellation_penalty(
@@ -274,7 +268,7 @@ class PredictiveProfitPolicy(ControlPolicy):
                 if signals.now >= info.window_end:
                     continue  # window about to settle — nothing left to reclaim
                 pay = info.pay_fraction(signals.now)
-                if pay >= self._cancellation_pay_threshold:
+                if pay >= self.CANCELLATION_PAY_THRESHOLD:
                     continue  # still pays: let it land
                 if pay > 0.0:
                     # Marginal: the job still lands in-window, so killing it

@@ -54,9 +54,11 @@ all first-class timestamped events, popped in deterministic
   ``solve_cohort`` call of the shared policy solves them all (see
   :meth:`FleetSimulator._on_boundary_cohort`).
 
-``run(num_windows)`` is a thin compatibility wrapper over the event loop
-for homogeneous-window fleets and reproduces the shared-window-index
-engine's :class:`~repro.fleet.metrics.FleetResult` bit-identically under a
+Every run starts at t=0, window 0.  ``run(num_windows)`` is a thin
+wrapper over the event loop for homogeneous-window fleets: it runs the next
+``num_windows`` shared windows, so a second call continues the timeline, and
+it reproduces the shared-window-index engine's
+:class:`~repro.fleet.metrics.FleetResult` bit-identically under a
 :class:`~repro.utils.clock.ManualClock` (see
 ``tests/integration/test_fleet_scenarios.py::TestEngineParity``).
 Heterogeneous fleets use :meth:`run_until` / :meth:`run_for`; each
@@ -113,13 +115,7 @@ from .migration import MigrationEvent
 from .policy.base import ControlSignals, InflightRetraining
 from .scenarios import FlashCrowd, GpuFailure, Scenario, SiteFailure, WanDegradation
 from .site import EdgeSite
-from .telemetry import TelemetryConfig, TelemetryPlane
-
-
-def _check_window_index(value: object, label: str) -> None:
-    """Reject a fractional or negative window index before the calendar is built."""
-    if not isinstance(value, numbers.Integral) or value < 0:
-        raise FleetError(f"{label} must be a non-negative integer, got {value}")
+from .telemetry import TelemetryPlane
 
 
 @dataclass
@@ -200,13 +196,9 @@ class FleetSimulator:
         tick at every distinct window-boundary time — the synchronous PR-2
         control plane.  A positive finite value runs admission/rebalancing
         on its own cadence, so migrations can start mid-window.
-    telemetry:
-        Sizing of the bounded-memory telemetry plane: a
-        :class:`~repro.fleet.telemetry.TelemetryConfig` (or a prebuilt
-        :class:`~repro.fleet.telemetry.TelemetryPlane`, e.g. to share one
-        across restarts).  ``None`` uses the fleet controller's config
-        (``make_fleet(telemetry=...)``) or the defaults, which never evict
-        at current benchmark scales.
+
+    Each simulator writes into its own
+    :class:`~repro.fleet.telemetry.TelemetryPlane` (:attr:`telemetry`).
     """
 
     def __init__(
@@ -216,7 +208,6 @@ class FleetSimulator:
         *,
         clock: Optional[Clock] = None,
         control_interval: Optional[float] = None,
-        telemetry: Optional[object] = None,
     ) -> None:
         if control_interval is not None and not 0 < control_interval < math.inf:
             raise FleetError(
@@ -234,17 +225,7 @@ class FleetSimulator:
         self._scenario = scenario or Scenario()
         self._clock = clock
         self._control_interval = control_interval
-        if telemetry is None:
-            telemetry = controller.telemetry
-        if isinstance(telemetry, TelemetryPlane):
-            self._telemetry = telemetry
-        elif telemetry is None or isinstance(telemetry, TelemetryConfig):
-            self._telemetry = TelemetryPlane(telemetry)
-        else:
-            raise FleetError(
-                "telemetry must be a TelemetryConfig or TelemetryPlane, "
-                f"got {type(telemetry).__name__}"
-            )
+        self._telemetry = TelemetryPlane()
         #: Open (planned, not fully settled) window per site.  Retrainings
         #: settle at per-stream RetrainingComplete events, and departures
         #: cancel in-flight retrainings through the controller's hooks.
@@ -282,8 +263,6 @@ class FleetSimulator:
         self._migrated_into: Dict[str, List[MigrationEvent]] = {}
         # Calendar state; built on the first run/run_window/run_until call.
         self._calendar: Optional[EventCalendar] = None
-        self._start_window = 0
-        self._start_time = 0.0
         self._boundary_times: set = set()
         self._tick_times: set = set()
         self._site_next_boundary: Dict[str, float] = {}
@@ -328,18 +307,19 @@ class FleetSimulator:
         return self._telemetry.events()
 
     # -------------------------------------------------------------- execution
-    def run(self, num_windows: int, *, start_window: int = 0) -> FleetResult:
-        """Simulate ``num_windows`` consecutive shared retraining windows.
+    def run(self, num_windows: int) -> FleetResult:
+        """Simulate the next ``num_windows`` shared retraining windows.
 
-        Compatibility wrapper for homogeneous-window fleets; heterogeneous
+        The first call runs from window 0; a later call continues where the
+        previous run stopped.  Homogeneous-window fleets only; heterogeneous
         fleets have no shared window count — use :meth:`run_until`.
         """
         if not isinstance(num_windows, numbers.Integral) or num_windows < 1:
             raise FleetError(f"num_windows must be an integer >= 1, got {num_windows}")
-        _check_window_index(start_window, "start_window")
         watch = Stopwatch(self._clock)
         result = self._new_result()
-        for window_index in range(start_window, start_window + num_windows):
+        first = self._next_cycle_ordinal
+        for window_index in range(first, first + num_windows):
             result.windows.append(self.run_window(window_index))
         result.wall_clock_seconds = watch.elapsed()
         self._finalize_result(result)
@@ -348,20 +328,20 @@ class FleetSimulator:
     def run_window(self, window_index: int) -> FleetWindowResult:
         """Advance the calendar through one shared window and return it.
 
-        Windows must be executed in ascending order (the calendar owns
-        simulated time and cannot rewind); the first call fixes the start
-        window, matching ``run(..., start_window=...)``.
+        Windows must be executed in order from window 0 (the calendar owns
+        simulated time and cannot rewind or skip ahead).
         """
-        _check_window_index(window_index, "window_index")
+        if not isinstance(window_index, numbers.Integral) or window_index < 0:
+            raise FleetError(f"window_index must be a non-negative integer, got {window_index}")
         duration = self._controller.window_duration  # homogeneous fleets only
         if self._calendar is None:
-            self._start(start_window=window_index)
+            self._start()
         if window_index != self._next_cycle_ordinal:
             raise FleetError(
                 f"windows must be executed in ascending order: expected window "
                 f"{self._next_cycle_ordinal}, got {window_index}"
             )
-        t_end = self._start_time + (window_index + 1 - self._start_window) * duration
+        t_end = (window_index + 1) * duration
         self._advance_until(t_end)
         self._horizon = max(self._horizon, t_end)
         cycle = self._current
@@ -391,7 +371,7 @@ class FleetSimulator:
         if not math.isfinite(t_end):
             raise FleetError(f"cannot run until t={t_end}: the end time must be finite")
         if self._calendar is None:
-            self._start(start_window=0)
+            self._start()
         elif t_end < self._calendar.now:
             raise FleetError(
                 f"cannot run until t={t_end:g}s: simulated time is already "
@@ -451,46 +431,31 @@ class FleetSimulator:
             num_sites=len(self._controller.sites),
         )
 
-    def _start(self, start_window: int) -> None:
-        """Build the calendar: first boundaries, control ticks, triggers."""
-        controller = self._controller
-        homogeneous = controller.homogeneous_windows
-        if not homogeneous and start_window != 0:
-            raise FleetError(
-                "heterogeneous-window fleets must start at window 0 "
-                "(there is no shared window index to offset by)"
-            )
-        self._start_window = start_window
-        self._start_time = start_window * controller.window_duration if homogeneous else 0.0
-        self._next_cycle_ordinal = start_window
-        self._last_emitted = start_window - 1
-        self._horizon = self._start_time
-        self._calendar = EventCalendar(start_time=self._start_time)
+    def _start(self) -> None:
+        """Build the calendar at t=0: first boundaries, control ticks, triggers."""
+        self._calendar = EventCalendar()
         if self._wan_faults is not None:
             # One seeded generator, drawn strictly in event order, fixes the
             # whole fault realisation of a run (replayable chaos).
             self._fault_rng = ensure_rng(self._wan_faults.seed)
-        for site in controller.sites:
-            self._schedule_boundary(site, start_window)
+        for site in self._controller.sites:
+            self._schedule_boundary(site, 0)
         if self._control_interval is not None:
-            self._calendar.schedule(ControlTick(time=self._start_time))
+            self._calendar.schedule(ControlTick(time=0.0))
         for event in self._scenario.events:
-            if event.at_seconds < self._start_time:
-                continue  # before the simulated range
             self._calendar.schedule(ScenarioTrigger(time=float(event.at_seconds), event=event))
 
     def _site_window_time(self, site: EdgeSite, window_index: int) -> float:
         """Absolute start time of ``site``'s window ``window_index``.
 
-        Computed by multiplication from the simulation origin — never by
-        accumulating additions — so it is the *same float* as the ``t_end``
+        Computed by multiplication from t=0 — never by accumulating
+        additions — so it is the *same float* as the ``t_end``
         `run_window` derives for the shared index, and the same float for
         every site sharing a duration.  Accumulated sums drift an ulp below
         the multiplied value for non-dyadic durations (e.g. 0.1), which
         used to pop a boundary one window early.
         """
-        duration = site.spec.window_duration
-        return self._start_time + (window_index - self._start_window) * duration
+        return window_index * site.spec.window_duration
 
     def _schedule_boundary(self, site: EdgeSite, window_index: int) -> None:
         time = self._site_window_time(site, window_index)

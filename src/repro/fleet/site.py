@@ -94,6 +94,10 @@ class SiteSpec:
                 f"site {self.name!r} needs a positive finite window_duration, "
                 f"got {self.window_duration}"
             )
+        # Anything else dies at the site's first migration, deep in the
+        # transfer-cost model.
+        if not isinstance(self.link, NetworkLink):
+            raise FleetError(f"site {self.name!r} needs a NetworkLink link, got {self.link!r}")
 
     def server_spec(self) -> EdgeServerSpec:
         return EdgeServerSpec(

@@ -41,14 +41,15 @@ fixed-layout storage (the MicroView metrics-envelope idiom):
     The facade the simulator writes into, plus the Prometheus-style text
     exposition (``export_text``) covering every ``summary()`` key.
 
-Defaults are sized so nothing evicts at current benchmark scales (the ring
-holds 65 536 envelopes ≈ 2 MiB); parity gates therefore stay bit-identical
-while the footprint is flat in the number of windows simulated.
+The plane's sizes are the module constants below, sized so nothing evicts
+at current benchmark scales (the ring holds 65 536 envelopes ≈ 2 MiB);
+parity gates therefore stay bit-identical while the footprint is flat in
+the number of windows simulated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import fields
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,7 +75,12 @@ from .metrics import SiteWindowStats
 __all__ = [
     "EVENT_DTYPE",
     "SITE_STATS_DTYPE",
-    "TelemetryConfig",
+    "EVENT_RING_CAPACITY",
+    "SERIES_CAPACITY",
+    "TOP_K_MOVERS",
+    "TAIL_STRIDE",
+    "EXACT_QUANTILE_LIMIT",
+    "SITE_STATS_CAPACITY",
     "EventRing",
     "P2Quantile",
     "AdaptiveStreamSampler",
@@ -82,6 +88,26 @@ __all__ = [
     "SiteStatsView",
     "TelemetryPlane",
 ]
+
+
+# The plane's sizes.  None evicts at current benchmark scales: the event
+# ring covers a 16-site x 400-stream x 30-window run with an order of
+# magnitude of headroom, so telemetry (always on) changes no observable
+# result, only bounds memory.
+
+#: Envelopes the event ring holds before evicting the oldest.
+EVENT_RING_CAPACITY = 65536
+#: Raw ``(window, value)`` points kept per stream series.
+SERIES_CAPACITY = 64
+#: Streams sampled densely per window batch (the biggest movers).
+TOP_K_MOVERS = 8
+#: Stable-tail streams record one point every this many windows.
+TAIL_STRIDE = 4
+#: Samples a P² estimator buffers (and answers exactly) before switching to
+#: O(1) streaming markers.
+EXACT_QUANTILE_LIMIT = 64
+#: Initial (site, window) rows preallocated in the stats table.
+SITE_STATS_CAPACITY = 512
 
 
 # --------------------------------------------------------------------------
@@ -584,46 +610,20 @@ class AdaptiveStreamSampler:
 # Per-site window counters
 # --------------------------------------------------------------------------
 
-#: One (site, window) counter row.  Field set mirrors
-#: :class:`~repro.fleet.metrics.SiteWindowStats` exactly; f8/i8 storage
-#: round-trips every Python float/int bit-identically, which the
-#: golden-parity fixture depends on.
-SITE_STATS_DTYPE = np.dtype(
-    [
-        ("site", "u4"),
-        ("num_streams", "i8"),
-        ("utilization", "f8"),
-        ("allocation_loss", "f8"),
-        ("mean_accuracy", "f8"),
-        ("scheduler_runtime_seconds", "f8"),
-        ("profiling_gpu_seconds", "f8"),
-        ("profiling_gpu_seconds_saved", "f8"),
-        ("retrainings_cancelled", "i8"),
-        ("reclaimed_gpu_seconds", "f8"),
-        ("wasted_gpu_seconds", "f8"),
-        ("transfers_failed", "i8"),
-        ("transfer_retries", "i8"),
-        ("retry_seconds", "f8"),
-    ],
-    align=True,
+#: Every :class:`~repro.fleet.metrics.SiteWindowStats` field but the site
+#: name, with its annotation (``"int"`` or ``"float"``).
+_STATS_FIELDS = tuple(
+    (field.name, field.type) for field in fields(SiteWindowStats) if field.name != "site"
 )
 
-_STATS_FLOAT_FIELDS = (
-    "utilization",
-    "allocation_loss",
-    "mean_accuracy",
-    "scheduler_runtime_seconds",
-    "profiling_gpu_seconds",
-    "profiling_gpu_seconds_saved",
-    "reclaimed_gpu_seconds",
-    "wasted_gpu_seconds",
-    "retry_seconds",
-)
-_STATS_INT_FIELDS = (
-    "num_streams",
-    "retrainings_cancelled",
-    "transfers_failed",
-    "transfer_retries",
+#: One (site, window) counter row, in ``SiteWindowStats`` field order: the
+#: interned site id, then each counter.  f8/i8 storage round-trips every
+#: Python float/int bit-identically, which the golden-parity fixture
+#: depends on.
+SITE_STATS_DTYPE = np.dtype(
+    [("site", "u4")]
+    + [(name, "i8" if kind == "int" else "f8") for name, kind in _STATS_FIELDS],
+    align=True,
 )
 
 
@@ -667,10 +667,8 @@ class SiteStatsTable:
     def stats(self, row_index: int) -> SiteWindowStats:
         row = self._rows[row_index]
         kwargs = {"site": self._interner.name(int(row["site"]))}
-        for name in _STATS_INT_FIELDS:
-            kwargs[name] = int(row[name])
-        for name in _STATS_FLOAT_FIELDS:
-            kwargs[name] = float(row[name])
+        for name, kind in _STATS_FIELDS:
+            kwargs[name] = int(row[name]) if kind == "int" else float(row[name])
         return SiteWindowStats(**kwargs)
 
 
@@ -719,47 +717,8 @@ class SiteStatsView(Mapping):
 
 
 # --------------------------------------------------------------------------
-# Configuration + facade
+# Facade
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Sizing knobs of the telemetry plane (``make_fleet(telemetry=...)``).
-
-    The defaults never evict at current benchmark scales — the 65 536-slot
-    event ring covers a 16-site × 400-stream × 30-window run with an order
-    of magnitude of headroom — so enabling telemetry (it is always on)
-    changes no observable result, only bounds memory.
-    """
-
-    #: Envelopes the event ring holds before evicting the oldest.
-    event_ring_capacity: int = 65536
-    #: Raw ``(window, value)`` points kept per stream series.
-    series_capacity: int = 64
-    #: Streams sampled densely per window batch (the biggest movers).
-    top_k_movers: int = 8
-    #: Stable-tail streams record one point every this many windows.
-    tail_stride: int = 4
-    #: Samples a P² estimator buffers (and answers exactly) before
-    #: switching to O(1) streaming markers.
-    exact_quantile_limit: int = 64
-    #: Initial (site, window) rows preallocated in the stats table.
-    site_stats_capacity: int = 512
-
-    def __post_init__(self) -> None:
-        if self.event_ring_capacity < 1:
-            raise FleetError("event_ring_capacity must be >= 1")
-        if self.series_capacity < 1:
-            raise FleetError("series_capacity must be >= 1")
-        if self.top_k_movers < 0:
-            raise FleetError("top_k_movers must be >= 0")
-        if self.tail_stride < 1:
-            raise FleetError("tail_stride must be >= 1")
-        if self.exact_quantile_limit < 5:
-            raise FleetError("exact_quantile_limit must be >= 5")
-        if self.site_stats_capacity < 1:
-            raise FleetError("site_stats_capacity must be >= 1")
 
 
 class TelemetryPlane:
@@ -773,27 +732,20 @@ class TelemetryPlane:
     Prometheus-style text exposition.
     """
 
-    def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
-        self._config = config or TelemetryConfig()
+    def __init__(self) -> None:
         self._interner = _StringInterner()
-        self._ring = EventRing(self._config.event_ring_capacity)
+        self._ring = EventRing(EVENT_RING_CAPACITY)
         self._sampler = AdaptiveStreamSampler(
-            top_k=self._config.top_k_movers,
-            tail_stride=self._config.tail_stride,
-            series_capacity=self._config.series_capacity,
-            exact_limit=self._config.exact_quantile_limit,
+            top_k=TOP_K_MOVERS,
+            tail_stride=TAIL_STRIDE,
+            series_capacity=SERIES_CAPACITY,
+            exact_limit=EXACT_QUANTILE_LIMIT,
         )
-        self._site_table = SiteStatsTable(
-            self._interner, self._config.site_stats_capacity
-        )
+        self._site_table = SiteStatsTable(self._interner, SITE_STATS_CAPACITY)
         self._trace_cache: Tuple[SimEvent, ...] = ()
         self._trace_version = self._ring.version
 
     # ------------------------------------------------------------ accessors
-    @property
-    def config(self) -> TelemetryConfig:
-        return self._config
-
     @property
     def ring_capacity(self) -> int:
         return self._ring.capacity

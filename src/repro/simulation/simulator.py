@@ -299,46 +299,25 @@ class Simulator:
         )
 
     # -------------------------------------------------------------- execution
-    def run(self, num_windows: int, *, start_window: int = 0) -> SimulationResult:
-        """Simulate ``num_windows`` consecutive retraining windows."""
+    def run(self, num_windows: int) -> SimulationResult:
+        """Simulate retraining windows ``0 .. num_windows - 1``."""
         if not isinstance(num_windows, numbers.Integral) or num_windows < 1:
             raise SimulationError(f"num_windows must be an integer >= 1, got {num_windows}")
-        if not isinstance(start_window, numbers.Integral) or start_window < 0:
-            raise SimulationError(
-                f"start_window must be a non-negative integer, got {start_window}"
-            )
         result = SimulationResult(
             policy_name=self._policy.name, num_gpus=self._server.spec.num_gpus
         )
-        for window_index in range(start_window, start_window + num_windows):
+        for window_index in range(num_windows):
             result.windows.append(self.run_window(window_index))
         return result
 
-    def run_window(
-        self,
-        window_index: int,
-        *,
-        retraining_delays: Optional[Mapping[str, float]] = None,
-        preplanned: Optional[WindowSchedule] = None,
-    ) -> WindowResult:
+    def run_window(self, window_index: int) -> WindowResult:
         """Plan and settle a single retraining window atomically.
 
         Equivalent to :meth:`plan_window` immediately followed by
         :meth:`settle_window` — the whole-window path of the single-server
         simulation.
-
-        ``retraining_delays`` maps stream names to seconds their retraining
-        cannot start into the window (the fleet layer uses this for the WAN
-        transfer of a migrated stream's checkpoint + profile).  The delay
-        extends the retraining's wall-clock completion, so a run that no
-        longer fits the window realises no benefit *and* is not committed to
-        the dynamics — realised accuracy and model state stay consistent.
         """
-        return self.settle_window(
-            self.plan_window(
-                window_index, retraining_delays=retraining_delays, preplanned=preplanned
-            )
-        )
+        return self.settle_window(self.plan_window(window_index))
 
     def plan_window(
         self,
@@ -357,7 +336,13 @@ class Simulator:
         in :meth:`settle_stream`, which may fire early (at the completion
         event), with a new completion time (reclaimed capacity accelerated
         the retraining) or as a cancellation (the stream migrated away).
-        ``retraining_delays`` is as in :meth:`run_window`.
+
+        ``retraining_delays`` maps stream names to seconds their retraining
+        cannot start into the window (the fleet layer uses this for the WAN
+        transfer of a migrated stream's checkpoint + profile).  The delay
+        extends the retraining's wall-clock completion, so a run that no
+        longer fits the window realises no benefit *and* is not committed to
+        the dynamics — realised accuracy and model state stay consistent.
 
         ``preplanned`` short-circuits the policy call with a schedule
         already solved for this exact window — the fleet's cohort planning

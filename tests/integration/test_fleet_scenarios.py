@@ -378,6 +378,26 @@ class TestEngineParity:
             assert window_a.mean_accuracy == window_b.mean_accuracy
             assert window_a.site_stats == window_b.site_stats
 
+    def test_a_second_run_continues_the_timeline(self):
+        """``run(1)`` then ``run(1)`` is ``run(2)``: windows, stats, trace."""
+
+        def build():
+            clock = ManualClock()
+            controller = make_fleet(3, 2, gpus_per_site=2, seed=0, clock=clock)
+            return FleetSimulator(controller, self.golden_scenario(), clock=clock)
+
+        whole = build()
+        joined = whole.run(2).windows
+        split = build()
+        halves = split.run(1).windows + split.run(1).windows
+        assert [window.window_index for window in halves] == [0, 1]
+        for window_a, window_b in zip(joined, halves):
+            assert window_a.start_seconds == window_b.start_seconds
+            assert window_a.mean_accuracy == window_b.mean_accuracy
+            assert window_a.site_stats == window_b.site_stats
+            assert window_a.migrations == window_b.migrations
+        assert split.event_trace == whole.event_trace
+
     def test_windows_must_advance_in_order(self):
         simulator = FleetSimulator(make_fleet(2, 1, gpus_per_site=2, seed=SEED))
         simulator.run_window(0)

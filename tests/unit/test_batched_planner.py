@@ -94,13 +94,13 @@ class TestSimulatorHandoff:
         request = simulator.prepare_request(0)
         schedule = policy.scheduler.schedule(request)
         with pytest.raises(SimulationError, match="window"):
-            simulator.run_window(1, preplanned=schedule)
+            simulator.settle_window(simulator.plan_window(1, preplanned=schedule))
 
     def test_preplanned_run_matches_unassisted_run(self):
         planned, policy = _simulator()
         request = planned.prepare_request(0)
         schedule = policy.scheduler.schedule(request)
-        assisted = planned.run_window(0, preplanned=schedule)
+        assisted = planned.settle_window(planned.plan_window(0, preplanned=schedule))
         unassisted = _simulator()[0].run_window(0)
         assert assisted.mean_accuracy == unassisted.mean_accuracy
 

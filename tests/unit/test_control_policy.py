@@ -4,8 +4,8 @@ Pins the plane's contracts: the greedy default is the controller's policy
 unless asked otherwise, its no-op-scan skip is output-identical (same
 ``MigrationEvent`` sequence bit for bit, only the skip counter moves), the
 predictive policy is deterministic with name-based tie-breaks, rejects
-whole scans when no candidate clears ``min_profit``, validates its knobs,
-and the proactive-cancellation channel degrades to a counted no-op without
+whole scans when no candidate clears ``MIN_PROFIT``, and the
+proactive-cancellation channel degrades to a counted no-op without
 a simulator hook.  The departure hook must fire exactly once per
 mid-window migration — double-firing would double-cancel and double-reclaim.
 """
@@ -50,6 +50,20 @@ def _run(policy, scenario=BURST, *, num_windows=4, control_interval=50.0, **kwar
     return controller, simulator.run(num_windows)
 
 
+class _ScansEveryTime(GreedyRebalancePolicy):
+    """Greedy with its idle-scan cache cleared before every scan."""
+
+    def rebalance(self, controller, window_index, signals=None):
+        self._idle_key = None
+        return super().rebalance(controller, window_index, signals)
+
+
+class _Unprofitable(PredictiveProfitPolicy):
+    """Predictive with a minimum profit no move can clear."""
+
+    MIN_PROFIT = 1000.0
+
+
 def _migration_tuples(result):
     return [
         (e.stream_name, e.source, e.destination, e.window_index, e.transfer_seconds, e.reason)
@@ -73,7 +87,7 @@ class TestFactoryAndDefaults:
         assert controller.control_policy.wants_signals is False
 
     def test_policy_instance_passes_through(self):
-        policy = PredictiveProfitPolicy(min_profit=0.25)
+        policy = PredictiveProfitPolicy()
         controller = make_fleet(2, 2, seed=SEED, control_policy=policy)
         assert controller.control_policy is policy
 
@@ -85,8 +99,8 @@ class TestGreedyScanSkip:
         Same fleet, same burst calendar, mid-window control ticks; the only
         summary difference allowed is the ``control_scans_skipped`` counter.
         """
-        _, skipping = _run(GreedyRebalancePolicy(skip_no_op_scans=True))
-        _, scanning = _run(GreedyRebalancePolicy(skip_no_op_scans=False))
+        _, skipping = _run(GreedyRebalancePolicy())
+        _, scanning = _run(_ScansEveryTime())
         assert _migration_tuples(skipping) == _migration_tuples(scanning)
         skipped = skipping.summary()
         scanned = scanning.summary()
@@ -103,21 +117,11 @@ class TestGreedyScanSkip:
         If the cached idle key survived the flash crowd, the overloaded
         site would sit unbalanced until some other mutation; the migrations
         above prove the cache invalidates (the load vector changed)."""
-        _, result = _run(GreedyRebalancePolicy(skip_no_op_scans=True))
+        _, result = _run(GreedyRebalancePolicy())
         assert result.summary()["migration_count"] > 0
 
 
 class TestPredictivePolicy:
-    def test_knob_validation(self):
-        with pytest.raises(FleetError):
-            PredictiveProfitPolicy(wan_cost_weight=-0.1)
-        with pytest.raises(FleetError):
-            PredictiveProfitPolicy(cancellation_cost_weight=-1.0)
-        with pytest.raises(FleetError):
-            PredictiveProfitPolicy(backlog_limit=0)
-        with pytest.raises(FleetError):
-            PredictiveProfitPolicy(cancellation_pay_threshold=1.5)
-
     def test_deterministic_replay(self):
         """Same seed, same calendar: bit-identical summaries and events.
 
@@ -132,8 +136,8 @@ class TestPredictivePolicy:
         assert first == second
 
     def test_all_negative_profit_rejects_the_scan(self):
-        """An unclearable min_profit: no migrations, counted rejections."""
-        policy = PredictiveProfitPolicy(min_profit=1000.0)
+        """An unclearable MIN_PROFIT: no migrations, counted rejections."""
+        policy = _Unprofitable()
         controller, result = _run(policy, profile_sharing=True)
         summary = result.summary()
         assert summary["migration_count"] == 0

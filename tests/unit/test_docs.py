@@ -1,5 +1,7 @@
-"""The documentation cannot rot: the README quickstart must execute and
-every relative link in the docs tree must resolve.
+"""The documentation cannot rot: the README quickstart must execute,
+every relative link in the docs tree must resolve, and every documented
+``make_fleet``/``FleetSimulator``/``FleetController`` call must pass only
+keywords the current signature accepts.
 
 These are the same checks CI's ``docs`` job runs (``python -m doctest
 README.md`` and ``scripts/check_docs.py``); running them in the tier-1
@@ -53,6 +55,27 @@ class TestDocumentation:
         for path in files:
             failures.extend(check_docs.broken_links(path))
         assert failures == []
+
+    def test_documented_fleet_calls_use_current_keywords(self):
+        check_docs = _load_check_docs()
+        files = check_docs.documentation_files(REPO_ROOT)
+        assert sum(len(check_docs.documented_calls(path)) for path in files) > 0
+        stale = [message for path in files for message in check_docs.stale_keywords(path)]
+        assert stale == []
+
+    def test_a_removed_keyword_is_reported(self, tmp_path):
+        doc = tmp_path / "stale.md"
+        doc.write_text(
+            "Size it with `make_fleet(4, 6, seed=0, telemetry=...)`.\n\n"
+            ">>> simulator = FleetSimulator(\n"
+            "...     controller, clock=clock, telemetry=plane\n"
+            "... )\n",
+            encoding="utf-8",
+        )
+        stale = _load_check_docs().stale_keywords(doc)
+        assert len(stale) == 2
+        assert stale[0].endswith("stale.md:1: make_fleet() has no keyword 'telemetry'")
+        assert stale[1].endswith("stale.md:3: FleetSimulator() has no keyword 'telemetry'")
 
     def test_events_doc_covers_every_summary_key(self):
         """The metrics appendix documents each FleetResult.summary() key."""

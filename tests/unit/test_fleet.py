@@ -256,20 +256,6 @@ class TestAdmissionPolicies:
         chosen = shared.choose_site(stream, sites, 0)
         assert chosen.name == "site-0"  # determinism unchanged
 
-    def test_profiling_settings_require_profile_sharing(self):
-        from repro.core import MicroProfilerSettings
-
-        with pytest.raises(FleetError):
-            make_fleet(1, 1, profiling_settings=MicroProfilerSettings(max_configs=4))
-        # With sharing on the settings are honoured.
-        controller = make_fleet(
-            1,
-            1,
-            profile_sharing=True,
-            profiling_settings=MicroProfilerSettings(max_configs=4),
-        )
-        assert controller.profile_sharing is not None
-
     def test_build_admission_names(self):
         dynamics = AnalyticDynamics(seed=0)
         assert build_admission("least_loaded", dynamics).name == "least-loaded"
@@ -447,7 +433,8 @@ class TestFleetMetrics:
         simulator = Simulator(setup.server, setup.dynamics, setup.policy)
         name = setup.server.stream_names[0]
         delays = {name: delay} if delay else None
-        outcome = simulator.run_window(0, retraining_delays=delays).outcomes[name]
+        plan = simulator.plan_window(0, retraining_delays=delays)
+        outcome = simulator.settle_window(plan).outcomes[name]
         return outcome, setup
 
     def test_migration_delay_shifts_retraining_completion(self):

@@ -4,23 +4,28 @@ NaN passes every ``x <= 0`` / ``x < 0`` guard, and an infinite end time or
 duration never lets the event loop finish.  A fractional GPU count or a
 zero quantum must fail as a site error, not deep in the cluster or policy.
 Each entry point below must raise :class:`~repro.exceptions.FleetError`
-(:class:`~repro.exceptions.ProfilingError` for the profiling knobs) *before
-the calendar advances*.  The ``frozen_calendar`` fixture makes any advance
+(:class:`~repro.exceptions.ProfilingError` for the profiling knobs,
+:class:`~repro.exceptions.ConfigurationError` for a WAN link) *before the
+calendar advances*.  The ``frozen_calendar`` fixture makes any advance
 fail the test, so a regression shows up as a failure instead of a hung run.
 """
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.exceptions import FleetError, ProfilingError, SimulationError
+from repro.cluster.network import NetworkLink
+from repro.exceptions import ConfigurationError, FleetError, ProfilingError, SimulationError
 from repro.fleet import (
+    ChaosInjector,
     FlashCrowd,
     FleetSimulator,
     GpuFailure,
     SiteFailure,
     SiteSpec,
     WanDegradation,
+    WanFaultModel,
     make_fleet,
 )
 from repro.fleet.calendar import ControlTick, EventCalendar
@@ -142,9 +147,8 @@ def test_flash_crowd_dataset_must_be_known(frozen_calendar):
     [
         lambda simulator: simulator.run_window(1.5),
         lambda simulator: simulator.run(2.5),
-        lambda simulator: simulator.run(1, start_window=1.5),
     ],
-    ids=["run_window", "run_num_windows", "run_start_window"],
+    ids=["run_window", "run_num_windows"],
 )
 def test_fleet_window_indices_must_be_whole_numbers(frozen_calendar, call):
     """``run_window(1.5)`` once advanced the calendar to t=300 and died in
@@ -156,16 +160,35 @@ def test_fleet_window_indices_must_be_whole_numbers(frozen_calendar, call):
     assert simulator._calendar is None
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [dict(num_windows=2.5), dict(num_windows=1, start_window=0.5)],
-    ids=["num_windows", "start_window"],
-)
+@pytest.mark.parametrize("kwargs", [dict(num_windows=2.5)], ids=["num_windows"])
 def test_simulator_window_counts_must_be_whole_numbers(frozen_calendar, kwargs):
     setup = make_setup("ekya", num_streams=1, num_gpus=1, seed=0)
     simulator = Simulator(setup.server, setup.dynamics, setup.policy)
     with pytest.raises(SimulationError, match="integer"):
         simulator.run(**kwargs)
+
+
+def test_make_fleet_accepts_numpy_scalars(frozen_calendar):
+    """A numpy window duration once fell through to the per-site sequence
+    branch (``TypeError``); a numpy seed overflowed the seed hash."""
+    controller = make_fleet(1, 1, window_duration=np.int64(200), seed=np.int64(3))
+    assert controller.window_duration == 200.0
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: make_fleet(1, 1, seed=1.5), "seed"),
+        (lambda: make_fleet(3, 2, links=[None]), "'site-0' needs a NetworkLink"),
+        (lambda: make_fleet(1, 1, dataset="nope"), "unknown dataset 'nope'.*cityscapes"),
+    ],
+    ids=["seed", "links", "dataset"],
+)
+def test_make_fleet_rejects_malformed_inputs_up_front(frozen_calendar, build, match):
+    """A fractional seed died in ``SeedSequence``, a ``None`` link at the
+    first migration, an unknown dataset as the generator's ``DatasetError``."""
+    with pytest.raises(FleetError, match=match):
+        build()
 
 
 @pytest.mark.parametrize(
@@ -217,3 +240,72 @@ def test_calendar_rejects_non_finite_event_times(value):
     with pytest.raises(FleetError, match="finite"):
         calendar.schedule(ControlTick(time=value))
     assert not calendar
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: NetworkLink("x", uplink_mbps=math.nan, downlink_mbps=10.0),
+        lambda: NetworkLink("x", uplink_mbps=10.0, downlink_mbps=math.nan),
+        lambda: NetworkLink("x", uplink_mbps=10.0, downlink_mbps=10.0, rtt_seconds=math.nan),
+        lambda: NetworkLink("x", uplink_mbps=10.0, downlink_mbps=10.0, rtt_seconds=math.inf),
+    ],
+    ids=["uplink_nan", "downlink_nan", "rtt_nan", "rtt_inf"],
+)
+def test_network_link_times_must_be_finite(frozen_calendar, build):
+    """Each once built and ended the run in ``cannot schedule
+    TransferArrival at t=nan`` (or ``t=inf``) at the first migration."""
+    with pytest.raises(ConfigurationError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(max_retries=1.5),
+        dict(backoff_seconds=math.nan),
+        dict(backoff_seconds=math.inf),
+        dict(backoff_factor=math.nan),
+        dict(backoff_factor=math.inf),
+        dict(seed=1.5),
+    ],
+    ids=[
+        "max_retries_fractional",
+        "backoff_seconds_nan",
+        "backoff_seconds_inf",
+        "backoff_factor_nan",
+        "backoff_factor_inf",
+        "seed_fractional",
+    ],
+)
+def test_wan_fault_model_rejects_malformed_knobs(frozen_calendar, kwargs):
+    """A fractional retry budget or seed once died mid-run as a ``TypeError``;
+    a non-finite backoff as a calendar error; a NaN factor was accepted."""
+    with pytest.raises(FleetError):
+        WanFaultModel(loss_rate=0.1, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ChaosInjector(0, intensity=math.nan),
+        lambda: ChaosInjector(0, intensity=math.inf),
+        lambda: ChaosInjector(1.5),
+        lambda: ChaosInjector(0).compile(["site-0"], window_duration=math.nan, num_windows=2),
+        lambda: ChaosInjector(0).compile(["site-0"], window_duration=math.inf, num_windows=2),
+        lambda: ChaosInjector(0).compile(["site-0"], window_duration=200.0, num_windows=2.5),
+    ],
+    ids=[
+        "intensity_nan",
+        "intensity_inf",
+        "seed_fractional",
+        "window_duration_nan",
+        "window_duration_inf",
+        "num_windows_fractional",
+    ],
+)
+def test_chaos_injector_rejects_malformed_inputs(frozen_calendar, build):
+    """Non-finite inputs once raised ``ValueError``/``OverflowError`` from
+    ``compile``; a fractional window count was accepted."""
+    with pytest.raises(FleetError):
+        build()

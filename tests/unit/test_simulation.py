@@ -109,8 +109,6 @@ class TestSimulator:
         simulator = _simulator()
         with pytest.raises(SimulationError):
             simulator.run(0)
-        with pytest.raises(SimulationError):
-            simulator.run(1, start_window=-1)
 
     def test_runs_with_different_policies(self):
         for policy_name in ("uniform_c2_50", "no_retraining", "cloud_cellular", "ekya_fixedres"):

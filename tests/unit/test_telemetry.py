@@ -9,9 +9,12 @@ bit-identically, the drop counter is exact, and the Prometheus exposition
 covers every ``FleetResult.summary()`` key.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import repro.fleet.telemetry as telemetry_module
 from repro.exceptions import FleetError
 from repro.fleet import (
     ControlTick,
@@ -24,7 +27,7 @@ from repro.fleet import (
     Scenario,
     SiteFailure,
     SiteRecovery,
-    TelemetryConfig,
+    SiteWindowStats,
     TelemetryPlane,
     TransferArrival,
     TransferFailed,
@@ -34,13 +37,21 @@ from repro.fleet import (
     run_chaos_trial,
 )
 from repro.fleet.migration import MigrationEvent
-from repro.fleet.telemetry import EVENT_DTYPE, P2Quantile
+from repro.fleet.telemetry import (
+    EVENT_DTYPE,
+    SITE_STATS_DTYPE,
+    AdaptiveStreamSampler,
+    EventRing,
+    P2Quantile,
+    SiteStatsTable,
+    _StringInterner,
+)
 from repro.utils.clock import ManualClock
 
 
-def _small_sim(**fleet_kwargs):
+def _small_sim():
     clock = ManualClock()
-    controller = make_fleet(2, 2, gpus_per_site=2, seed=0, clock=clock, **fleet_kwargs)
+    controller = make_fleet(2, 2, gpus_per_site=2, seed=0, clock=clock)
     return FleetSimulator(controller, clock=clock)
 
 
@@ -88,16 +99,27 @@ class TestEventRing:
         assert list(plane.events()) == events
 
     def test_eviction_keeps_newest_and_counts_drops_exactly(self):
-        plane = TelemetryPlane(TelemetryConfig(event_ring_capacity=4))
+        ring = EventRing(4)
         for i in range(11):
-            plane.record_event(ControlTick(time=float(i)))
-        assert plane.ring_occupancy == 4
-        assert plane.events_recorded == 11
-        assert plane.events_dropped == 7
-        assert [e.time for e in plane.events()] == [7.0, 8.0, 9.0, 10.0]
+            ring.append(float(i), 0, 0, 0, 0, 0.0, 0, payload=i)
+        assert len(ring) == 4
+        assert ring.recorded == 11
+        assert ring.dropped == 7
+        assert [float(row["time"]) for row, _ in ring.records()] == [7.0, 8.0, 9.0, 10.0]
+        # Payload slots are evicted with their envelopes.
+        assert [payload for _, payload in ring.records()] == [7, 8, 9, 10]
 
-    def test_simulator_surfaces_drop_counter_in_summary(self):
-        simulator = _small_sim(telemetry=TelemetryConfig(event_ring_capacity=3))
+    def test_component_sizes_are_validated(self):
+        with pytest.raises(FleetError):
+            EventRing(0)
+        with pytest.raises(FleetError):
+            AdaptiveStreamSampler(top_k=1, tail_stride=0, series_capacity=8, exact_limit=64)
+        with pytest.raises(FleetError):
+            SiteStatsTable(_StringInterner(), 0)
+
+    def test_simulator_surfaces_drop_counter_in_summary(self, monkeypatch):
+        monkeypatch.setattr(telemetry_module, "EVENT_RING_CAPACITY", 3)
+        simulator = _small_sim()
         result = simulator.run(2)
         plane = simulator.telemetry
         assert plane.events_recorded > 3
@@ -113,7 +135,7 @@ class TestEventRing:
         simulator.run(1)
         first = simulator.event_trace
         assert simulator.event_trace is first  # O(1) repeated reads
-        simulator.run(1, start_window=1)
+        simulator.run(1)
         second = simulator.event_trace
         assert second is not first
         assert len(second) > len(first)
@@ -152,42 +174,40 @@ class TestP2Quantile:
 
 
 class TestAdaptiveSampler:
-    def _plane(self, **overrides):
-        defaults = dict(top_k_movers=1, tail_stride=3, series_capacity=8)
-        defaults.update(overrides)
-        return TelemetryPlane(TelemetryConfig(**defaults))
+    def _sampler(self, top_k=1):
+        return AdaptiveStreamSampler(
+            top_k=top_k, tail_stride=3, series_capacity=8, exact_limit=64
+        )
 
     def test_movers_sample_densely_and_the_tail_sparsely(self):
-        plane = self._plane()
+        sampler = self._sampler()
         mover, stable = "mover", "stable"
         for window in range(9):
-            plane.observe_streams(
-                window, {mover: 0.1 * (window % 2), stable: 0.5}
-            )
+            sampler.observe(window, {mover: 0.1 * (window % 2), stable: 0.5})
         # The mover flips every window and wins the single dense slot each
         # time; the stable stream records at most 1-in-3.
-        assert len(plane.stream_series(mover)) == 8  # series ring capacity
-        assert len(plane.stream_series(stable)) <= 3
+        assert len(sampler.series_of(mover)) == 8  # series ring capacity
+        assert len(sampler.series_of(stable)) <= 3
 
     def test_aggregates_stay_exact_for_unsampled_streams(self):
-        plane = self._plane()
+        sampler = self._sampler()
         values = [0.5, 0.51, 0.49, 0.5, 0.52, 0.5]
         for window, value in enumerate(values):
-            plane.observe_streams(window, {"mover": float(window), "tail": value})
-        summary = plane.stream_summary("tail")
+            sampler.observe(window, {"mover": float(window), "tail": value})
+        summary = sampler.summary_of("tail")
         assert summary["count"] == len(values)
         assert summary["mean"] == pytest.approx(np.mean(values), abs=1e-12)
         assert summary["p10"] == pytest.approx(np.percentile(values, 10.0), abs=1e-12)
 
     def test_sampled_streams_gauge_counts_the_latest_window(self):
-        plane = self._plane(top_k_movers=2)
-        plane.observe_streams(0, {"a": 0.1, "b": 0.2, "c": 0.3})
-        assert plane.sampled_streams == 2
-        plane.observe_streams(1, {"a": 0.9, "b": 0.2, "c": 0.3})
-        assert plane.sampled_streams == 2  # reset, then 2 movers again
+        sampler = self._sampler(top_k=2)
+        sampler.observe(0, {"a": 0.1, "b": 0.2, "c": 0.3})
+        assert sampler.sampled_streams == 2
+        sampler.observe(1, {"a": 0.9, "b": 0.2, "c": 0.3})
+        assert sampler.sampled_streams == 2  # reset, then 2 movers again
 
     def test_unknown_stream_queries_raise(self):
-        plane = self._plane()
+        plane = TelemetryPlane()
         with pytest.raises(FleetError):
             plane.stream_summary("nope")
         with pytest.raises(FleetError):
@@ -209,9 +229,23 @@ class TestSiteStatsPacking:
         assert isinstance(stats.utilization, float)
 
     def test_table_grows_past_its_initial_capacity(self):
-        simulator = _small_sim(telemetry=TelemetryConfig(site_stats_capacity=1))
-        result = simulator.run(3)
-        assert all(len(w.site_stats) == 2 for w in result.windows)
+        table = SiteStatsTable(_StringInterner(), 1)
+        rows = [
+            table.append(f"site-{i}", num_streams=i, utilization=0.25 * i)
+            for i in range(5)
+        ]
+        assert rows == [0, 1, 2, 3, 4]
+        assert len(table) == 5
+        for i in range(5):
+            stats = table.stats(i)
+            assert (stats.site, stats.num_streams, stats.utilization) == (
+                f"site-{i}", i, 0.25 * i
+            )
+
+    def test_row_layout_follows_the_dataclass(self):
+        """One row per SiteWindowStats, in field order: 112 bytes."""
+        assert SITE_STATS_DTYPE.names == tuple(f.name for f in fields(SiteWindowStats))
+        assert SITE_STATS_DTYPE.itemsize == 112
 
     def test_standalone_window_result_has_empty_stats(self):
         from repro.fleet import FleetWindowResult
@@ -221,37 +255,16 @@ class TestSiteStatsPacking:
 
 # ------------------------------------------------------------------- wiring
 class TestTelemetryWiring:
-    def test_make_fleet_threads_the_config_through(self):
-        clock = ManualClock()
-        config = TelemetryConfig(event_ring_capacity=128)
-        controller = make_fleet(
-            1, 1, gpus_per_site=1, seed=0, clock=clock, telemetry=config
-        )
-        assert controller.telemetry is config
-        simulator = FleetSimulator(controller, clock=clock)
-        assert simulator.telemetry.ring_capacity == 128
+    def test_simulator_plane_is_sized_by_the_module_constants(self):
+        report = _small_sim().telemetry.memory_report()
+        assert report["ring_capacity"] == telemetry_module.EVENT_RING_CAPACITY
 
-    def test_explicit_plane_wins_over_the_controller_config(self):
-        clock = ManualClock()
-        controller = make_fleet(
-            1, 1, gpus_per_site=1, seed=0, clock=clock,
-            telemetry=TelemetryConfig(event_ring_capacity=128),
-        )
-        plane = TelemetryPlane(TelemetryConfig(event_ring_capacity=16))
-        simulator = FleetSimulator(controller, clock=clock, telemetry=plane)
-        assert simulator.telemetry is plane
-
-    def test_invalid_telemetry_argument_is_rejected(self):
-        clock = ManualClock()
-        controller = make_fleet(1, 1, gpus_per_site=1, seed=0, clock=clock)
-        with pytest.raises(FleetError):
-            FleetSimulator(controller, clock=clock, telemetry="big")
-
-    def test_invalid_config_values_are_rejected(self):
-        with pytest.raises(FleetError):
-            TelemetryConfig(event_ring_capacity=0)
-        with pytest.raises(FleetError):
-            TelemetryConfig(tail_stride=0)
+    def test_each_simulator_writes_into_its_own_plane(self):
+        first, second = _small_sim(), _small_sim()
+        assert first.telemetry is not second.telemetry
+        first.run(1)
+        assert first.telemetry.events_recorded > 0
+        assert second.telemetry.events_recorded == 0
 
     def test_chaos_reports_carry_telemetry_accounting(self):
         report = run_chaos_trial(0, quick=True)
@@ -337,7 +350,7 @@ class TestPrometheusExport:
         assert 'ekya_fleet_stream_accuracy_bucket{le="+Inf"} 5' in lines
 
     def test_sampler_histogram_matches_exact_counts_below_buffer_limit(self):
-        plane = TelemetryPlane(TelemetryConfig())
+        plane = TelemetryPlane()
         series = {"a": [0.2, 0.4, 0.6], "b": [0.7, 0.9]}
         window = 0
         for _ in range(3):
