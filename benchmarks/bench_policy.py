@@ -11,11 +11,12 @@ the scenario seed, so the committed baseline
     PYTHONPATH=src python benchmarks/bench_policy.py
 
 ``run_benchmarks.py --quick`` runs :func:`check_quick_policy_gate` on
-every PR: the greedy arm of the cheapest scenario must reproduce the
-committed baseline bit for bit (the policy plane's default path must never
-drift), and the predictive arm must not regress the fleet mean below the
-greedy arm on that same calendar.  The full run appends the whole A/B
-table to ``BENCH_fleet.json`` under a ``policy`` key.
+every PR: both arms of the cheapest scenario must reproduce the committed
+baseline bit for bit (the policy plane's default path must never drift,
+and the predictive scan must not change a decision unnoticed), and the
+predictive arm must not regress the fleet mean below the greedy arm on
+that same calendar.  The full run appends the whole A/B table to
+``BENCH_fleet.json`` under a ``policy`` key.
 """
 
 from __future__ import annotations
@@ -110,10 +111,10 @@ def check_quick_policy_gate(path: Optional[Path] = None) -> List[str]:
     """The ``run_benchmarks.py --quick`` gate: one scenario, both arms.
 
     Replays the cheapest reference scenario under both policies and checks
-    (a) the greedy arm reproduces the committed baseline bit for bit — the
-    policy refactor's default path must stay the pre-policy engine — and
-    (b) the predictive arm's fleet mean does not regress below the greedy
-    arm on the identical calendar.
+    (a) both arms reproduce the committed baseline bit for bit — the greedy
+    arm is the default engine, and a predictive metric that moves means the
+    profit scan changed a decision — and (b) the predictive arm's fleet
+    mean does not regress below the greedy arm on the identical calendar.
     """
     baseline = load_policy_baseline(path)
     specs = [spec for spec in reference_scenarios() if spec.name == QUICK_SCENARIO]
@@ -128,13 +129,15 @@ def check_quick_policy_gate(path: Optional[Path] = None) -> List[str]:
                 "to check the quick gate against"
             )
         else:
-            for metric in COMPARED_METRICS:
-                got, want = comparison.greedy.metrics[metric], base["greedy"][metric]
-                if got != want:
-                    failures.append(
-                        f"default-policy {QUICK_SCENARIO} {metric} is {got!r}, "
-                        f"committed baseline says {want!r} (must match exactly)"
-                    )
+            arms = {"greedy": comparison.greedy, "predictive": comparison.predictive}
+            for arm, result in arms.items():
+                for metric in COMPARED_METRICS:
+                    got, want = result.metrics[metric], base[arm][metric]
+                    if got != want:
+                        failures.append(
+                            f"{arm} arm {QUICK_SCENARIO} {metric} is {got!r}, "
+                            f"committed baseline says {want!r} (must match exactly)"
+                        )
     greedy_mean = comparison.greedy.metrics["mean_accuracy"]
     predictive_mean = comparison.predictive.metrics["mean_accuracy"]
     if predictive_mean < greedy_mean - 1e-9:

@@ -21,12 +21,12 @@ comparable to the machine the baselines were recorded on.
 fleet parity check (the smallest baseline site count, compared bit for bit
 against ``fleet_baseline.json`` — proving ``make_fleet``'s cross-site
 profile sharing stays strictly opt-in), the telemetry memory bound, and
-the control-policy gate (the default greedy arm of the cheapest reference
-scenario must reproduce ``policy_baseline.json`` bit for bit, and the
-predictive arm must not regress the fleet mean below greedy on the same
-calendar), the horizon-flatness gate (exactly one drift-walk draw per
-stream-window at 3 and 30 windows; off CI, seconds per window flat within
-1.2x, see ``bench_horizon.py``) and the work-counter gate (the end-to-end
+the control-policy gate (both arms of the cheapest reference scenario
+must reproduce ``policy_baseline.json`` bit for bit, and the predictive
+arm must not regress the fleet mean below greedy on the same calendar),
+the horizon-flatness gate (exactly one drift-walk draw per stream-window
+at 3 and 30 windows; off CI, seconds per window flat within 1.2x, see
+``bench_horizon.py``) and the work-counter gate (the end-to-end
 workloads' exact ledger counters over 3 windows against
 ``counters_baseline.json``, see ``bench_counters.py``), skipping the
 scaling sweeps — the smoke mode CI uses on every PR.
@@ -354,9 +354,9 @@ def main(argv=None) -> int:
         # window counts and under the absolute byte bound.
         print("checking telemetry memory bound against the committed baseline...")
         failures.extend(check_quick_telemetry_bound())
-        # And the control-policy plane: the default greedy arm must match
-        # the committed baseline bit for bit, and the predictive arm must
-        # not regress the fleet mean below greedy on the same calendar.
+        # And the control-policy plane: both arms must match the committed
+        # baseline bit for bit, and the predictive arm must not regress the
+        # fleet mean below greedy on the same calendar.
         print("checking control-policy gate against the committed baseline...")
         failures.extend(check_quick_policy_gate())
         # Cost per window must not grow with simulated time: the drift walk

@@ -25,7 +25,7 @@ are reproducible run to run.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ..configs.inference import InferenceConfig
 from ..core.estimator import estimate_stream_average_accuracy
@@ -122,50 +122,39 @@ class AccuracyGreedyAdmission(AdmissionPolicy):
         self._dynamics = dynamics
         self._shared_profiles = shared_profiles
 
-    def _best_shared_candidate(self, stream: VideoStream):
-        """The fleet store's best curve point for ``stream`` (site-independent)."""
-        if self._shared_profiles is None:
-            return None
-        return self._shared_profiles.best_candidate(stream_profile_key(stream))
-
-    def score(
-        self,
-        stream: VideoStream,
-        site: EdgeSite,
-        window_index: int,
-        *,
-        already_placed: bool = False,
-    ) -> float:
-        """Estimated window-average accuracy of ``stream`` if admitted to ``site``.
-
-        With ``already_placed`` the stream is assumed to be one of the
-        site's *current* occupants (no ``+1`` headcount handicap) — the
-        predictive control policy uses this to score a migration candidate's
-        status quo at its source site with the same yardstick as the
-        destination estimate.
-        """
-        return self._score(
-            stream,
-            site,
-            window_index,
-            self._best_shared_candidate(stream),
-            already_placed=already_placed,
+    def score(self, stream: VideoStream, site: EdgeSite, window_index: int) -> float:
+        """Estimated window-average accuracy of ``stream`` if admitted to ``site``."""
+        best = None
+        if self._shared_profiles is not None:
+            best = self._shared_profiles.best_candidate(stream_profile_key(stream))
+        return self.estimate(
+            self._dynamics.start_accuracy(stream, window_index),
+            None if best is None else best[1:],
+            site.num_streams + 1,
+            site.spec.num_gpus,
+            site.spec.window_duration,
         )
 
-    def _score(
-        self,
-        stream: VideoStream,
-        site: EdgeSite,
-        window_index: int,
-        candidate,
-        *,
-        already_placed: bool = False,
+    @staticmethod
+    def estimate(
+        start_accuracy: float,
+        curve_point: Optional[Tuple[float, float]],
+        occupants: int,
+        num_gpus: int,
+        window_seconds: float,
     ) -> float:
-        occupants = site.num_streams if already_placed else site.num_streams + 1
-        share = site.spec.num_gpus / max(occupants, 1)
-        start = clamp(self._dynamics.start_accuracy(stream, window_index))
-        if candidate is not None:
-            _, gpu_seconds, post_accuracy = candidate
+        """The admission estimate as a pure function of the values it reads.
+
+        ``curve_point`` is the fleet store's best ``(gpu_seconds, accuracy)``
+        for the stream's key, or ``None`` to score the stale model alone;
+        ``occupants`` counts the stream itself.  Equal arguments give the
+        same float, which is what lets the predictive control policy
+        memoise it.
+        """
+        share = num_gpus / max(occupants, 1)
+        start = clamp(start_accuracy)
+        if curve_point is not None:
+            gpu_seconds, post_accuracy = curve_point
             estimate = estimate_stream_average_accuracy(
                 start_accuracy=start,
                 post_retraining_accuracy=clamp(post_accuracy),
@@ -173,7 +162,7 @@ class AccuracyGreedyAdmission(AdmissionPolicy):
                 inference_config=_REFERENCE_INFERENCE,
                 inference_gpu=share / 2.0,
                 retraining_gpu=share / 2.0,
-                window_seconds=site.spec.window_duration,
+                window_seconds=window_seconds,
             )
         else:
             estimate = estimate_stream_average_accuracy(
@@ -183,7 +172,7 @@ class AccuracyGreedyAdmission(AdmissionPolicy):
                 inference_config=_REFERENCE_INFERENCE,
                 inference_gpu=share,
                 retraining_gpu=0.0,
-                window_seconds=site.spec.window_duration,
+                window_seconds=window_seconds,
             )
         return estimate.average_accuracy
 
@@ -191,9 +180,6 @@ class AccuracyGreedyAdmission(AdmissionPolicy):
         self, stream: VideoStream, sites: Sequence[EdgeSite], window_index: int
     ) -> EdgeSite:
         self._require_sites(sites)
-        # The fleet store's best curve point is per stream, not per site —
-        # look it up once for the whole candidate scan.
-        candidate = self._best_shared_candidate(stream)
         # Once a site has GPU to spare the estimate saturates (the reference
         # pipeline cannot get more accurate than the model), so ties are
         # common early on; break them toward the less-loaded site, then the
@@ -204,7 +190,7 @@ class AccuracyGreedyAdmission(AdmissionPolicy):
         return min(
             sites,
             key=lambda site: (
-                -self._score(stream, site, window_index, candidate),
+                -self.score(stream, site, window_index),
                 site.load,
                 site.name,
             ),

@@ -10,7 +10,7 @@ predicts:
 
 * **Gain** — the destination estimate minus the status-quo estimate at the
   source, both from :meth:`~repro.fleet.admission.AccuracyGreedyAdmission.
-  score` (which folds in the fleet profile store's post-retraining curves
+  estimate` (which folds in the fleet profile store's post-retraining curves
   when sharing is on).  Positive gain is discounted by a *staleness
   confidence*: with profile decay enabled, curves that last aggregated a
   push ``s`` seconds ago are trusted with weight ``0.5 ** (s /
@@ -47,7 +47,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ...exceptions import FleetError
-from ...profiles.fleet_store import stream_profile_key
+from ...profiles.fleet_store import FleetProfileStore, ProfileKey, stream_profile_key
 from ..admission import AccuracyGreedyAdmission
 from .base import ControlPolicy, ControlSignals
 
@@ -83,6 +83,13 @@ class PredictiveProfitPolicy(ControlPolicy):
     #: their window are cancelled when survivors can absorb the GPUs.
     CANCELLATION_PAY_THRESHOLD = 0.05
 
+    def __init__(self) -> None:
+        # ``AccuracyGreedyAdmission.estimate`` memoised on its own arguments:
+        # a hit is the same float by construction, so the memo is never
+        # invalidated, only replaced when the window index moves on.
+        self._scores: Dict[tuple, float] = {}
+        self._scores_window: Optional[int] = None
+
     # ------------------------------------------------------------- main entry
     def rebalance(
         self,
@@ -106,16 +113,12 @@ class PredictiveProfitPolicy(ControlPolicy):
         window_index: int,
         signals: Optional[ControlSignals],
     ) -> List["MigrationEvent"]:
-        sharing = controller.profile_sharing
-        scorer = AccuracyGreedyAdmission(
-            controller.dynamics,
-            shared_profiles=sharing.store if sharing is not None else None,
-        )
+        if window_index != self._scores_window:
+            self._scores = {}
+            self._scores_window = window_index
         events: List["MigrationEvent"] = []
         while len(events) < controller.max_migrations_per_window:
-            best = self._best_candidate(
-                controller, scorer, healthy, window_index, signals
-            )
+            best = self._best_candidate(controller, healthy, window_index, signals)
             if best is None:
                 break
             profit, victim, _, destination = best
@@ -125,87 +128,84 @@ class PredictiveProfitPolicy(ControlPolicy):
                 # candidates are by construction no better.
                 controller.control_counters["migrations_rejected"] += 1
                 break
-            events.append(
-                controller._migrate(victim, destination, window_index, "predictive")
-            )
+            events.append(controller._migrate(victim, destination, window_index, "predictive"))
         return events
 
     def _best_candidate(
         self,
         controller: "FleetController",
-        scorer: AccuracyGreedyAdmission,
         healthy: List["EdgeSite"],
         window_index: int,
         signals: Optional[ControlSignals],
     ) -> Optional[_Candidate]:
         now = signals.now if signals is not None else 0.0
+        sharing = controller.profile_sharing
+        store = sharing.store if sharing is not None else None
         backlog = self._backlog_by_site(controller, signals)
+        # A congested destination already has a WAN backlog queued toward it.
+        destinations = [site for site in healthy if backlog.get(site.name, 0) < self.BACKLOG_LIMIT]
         best: Optional[_Candidate] = None
         best_key: Optional[Tuple[float, str, str]] = None
         for source in healthy:
             if source.num_streams < 2:
                 continue  # never empty a site — same floor as greedy
+            # Links change only at scenario events, never inside a scan, so
+            # the WAN term is per (source, destination) pair, not per victim.
+            wan_terms = [
+                (destination, self._wan_term(controller, source, destination))
+                for destination in destinations
+                if destination.name != source.name
+            ]
             for victim in sorted(source.stream_names):
-                if (
-                    signals is not None
-                    and signals.transfer_arrivals.get(victim, now) > now
-                ):
+                if signals is not None and signals.transfer_arrivals.get(victim, now) > now:
                     continue  # checkpoint still in flight — not movable yet
                 stream = source.server.stream(victim)
-                status_quo = scorer.score(
-                    stream, source, window_index, already_placed=True
+                key = stream_profile_key(stream)
+                start = controller.dynamics.start_accuracy(stream, window_index)
+                candidate = store.best_candidate(key) if store is not None else None
+                curve_point = None if candidate is None else candidate[1:]
+                status_quo = self._score(start, curve_point, source.num_streams, source)
+                confidence = self._confidence(store, key, now)
+                waste_term = self.CANCELLATION_COST_WEIGHT * self._cancellation_penalty(
+                    source, victim, signals
                 )
-                confidence = self._confidence(controller, stream, now)
-                waste_penalty = self._cancellation_penalty(source, victim, signals)
-                for destination in healthy:
-                    if destination.name == source.name:
-                        continue
-                    if backlog.get(destination.name, 0) >= self.BACKLOG_LIMIT:
-                        continue  # congested: WAN backlog already queued there
-                    profit = self._profit(
-                        controller,
-                        scorer,
-                        stream,
-                        source,
-                        destination,
-                        window_index,
-                        status_quo,
-                        confidence,
-                        waste_penalty,
-                    )
-                    key = (-profit, victim, destination.name)
-                    if best_key is None or key < best_key:
-                        best_key = key
+                for destination, wan_term in wan_terms:
+                    joined = destination.num_streams + 1
+                    gain = self._score(start, curve_point, joined, destination) - status_quo
+                    if gain > 0.0:
+                        # Stale curves → less trust in the predicted upside.
+                        # Downside estimates stay undiscounted: uncertainty
+                        # never makes a losing move look safer.
+                        gain *= confidence
+                    profit = gain - wan_term - waste_term
+                    rank = (-profit, victim, destination.name)
+                    if best_key is None or rank < best_key:
+                        best_key = rank
                         best = (profit, victim, source, destination)
         return best
 
-    def _profit(
-        self,
-        controller: "FleetController",
-        scorer: AccuracyGreedyAdmission,
-        stream,
-        source: "EdgeSite",
-        destination: "EdgeSite",
-        window_index: int,
-        status_quo: float,
-        confidence: float,
-        waste_penalty: float,
+    def _wan_term(
+        self, controller: "FleetController", source: "EdgeSite", destination: "EdgeSite"
     ) -> float:
-        gain = scorer.score(stream, destination, window_index) - status_quo
-        if gain > 0.0:
-            # Stale curves → less trust in the predicted upside.  Downside
-            # estimates stay undiscounted: uncertainty never makes a losing
-            # move look safer.
-            gain *= confidence
-        transfer = controller.migration_cost.transfer_seconds(
-            source.link, destination.link
-        )
-        wan_cost = transfer / destination.spec.window_duration
-        return (
-            gain
-            - self.WAN_COST_WEIGHT * wan_cost
-            - self.CANCELLATION_COST_WEIGHT * waste_penalty
-        )
+        """Weighted checkpoint transfer time under the current link state, as
+        a fraction of the destination's window."""
+        transfer = controller.migration_cost.transfer_seconds(source.link, destination.link)
+        return self.WAN_COST_WEIGHT * (transfer / destination.spec.window_duration)
+
+    def _score(
+        self,
+        start: float,
+        curve_point: Optional[Tuple[float, float]],
+        occupants: int,
+        site: "EdgeSite",
+    ) -> float:
+        """``AccuracyGreedyAdmission.estimate`` through the window's memo."""
+        spec = site.spec
+        key = (start, curve_point, occupants, spec.num_gpus, spec.window_duration)
+        score = self._scores.get(key)
+        if score is None:
+            score = self._scores[key] = AccuracyGreedyAdmission.estimate(*key)
+        return score
 
     def _cancellation_penalty(
         self, source: "EdgeSite", victim: str, signals: Optional[ControlSignals]
@@ -221,20 +221,16 @@ class PredictiveProfitPolicy(ControlPolicy):
         capacity = source.spec.window_duration * max(source.spec.num_gpus, 1)
         return burned / capacity
 
-    def _confidence(self, controller: "FleetController", stream, now: float) -> float:
-        """Drift/staleness trust in the store's curves for this stream."""
-        sharing = controller.profile_sharing
-        if sharing is None:
+    @staticmethod
+    def _confidence(store: Optional[FleetProfileStore], key: ProfileKey, now: float) -> float:
+        """Drift/staleness trust in the store's curves for one profile key."""
+        if store is None or store.decay_half_life is None:
             return 1.0
-        store = sharing.store
-        half_life = store.decay_half_life
-        if half_life is None:
-            return 1.0
-        last = store.last_push_at(stream_profile_key(stream))
+        last = store.last_push_at(key)
         if last is None:
             return 1.0  # no curve history: the score already fell back cold
         staleness = max(0.0, now - last)
-        return 0.5 ** (staleness / half_life)
+        return 0.5 ** (staleness / store.decay_half_life)
 
     @staticmethod
     def _backlog_by_site(
@@ -255,9 +251,7 @@ class PredictiveProfitPolicy(ControlPolicy):
         return counts
 
     # ----------------------------------------------------- proactive cancels
-    def _cancellation_round(
-        self, controller: "FleetController", signals: ControlSignals
-    ) -> None:
+    def _cancellation_round(self, controller: "FleetController", signals: ControlSignals) -> None:
         for site_name in sorted(signals.inflight):
             active = [
                 info

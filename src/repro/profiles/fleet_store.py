@@ -94,6 +94,8 @@ class FleetProfileStore:
         self._pushes: Dict[ProfileKey, int] = {}
         #: Arrival time of each key's latest push (tracked only with decay).
         self._last_push_at: Dict[ProfileKey, float] = {}
+        #: ``best_candidate`` per key; ``push``, the only writer, retires it.
+        self._best: Dict[ProfileKey, Tuple[RetrainingConfig, float, float]] = {}
 
     @property
     def decay_half_life(self) -> Optional[float]:
@@ -112,6 +114,7 @@ class FleetProfileStore:
         clamped at zero, so a late-arriving push decays nothing.
         """
         curves = self._sums.setdefault(key, {})
+        self._best.pop(key, None)
         if self._decay_half_life is not None:
             last = self._last_push_at.get(key)
             if last is not None:
@@ -152,14 +155,18 @@ class FleetProfileStore:
 
         Ties break toward the cheaper configuration, then the configuration
         key, so the answer is deterministic.  ``None`` when the key is
-        unknown — callers fall back to their cold-start behaviour.
+        unknown — callers fall back to their cold-start behaviour.  The
+        answer is memoised until the next push for the key, so a control
+        scan pays the argmin once per push rather than once per query.
         """
-        curves = self.curves_for(key)
-        if not curves:
-            return None
-        config = min(curves, key=lambda cfg: (-curves[cfg][1], curves[cfg][0], cfg.key()))
-        cost, accuracy = curves[config]
-        return (config, cost, accuracy)
+        best = self._best.get(key)
+        if best is None:
+            curves = self.curves_for(key)
+            if not curves:
+                return None
+            config = min(curves, key=lambda cfg: (-curves[cfg][1], curves[cfg][0], cfg.key()))
+            best = self._best[key] = (config, *curves[config])
+        return best
 
     def pushes_for(self, key: ProfileKey) -> int:
         return self._pushes.get(key, 0)

@@ -246,6 +246,8 @@ class Simulator:
         self._server = server
         self._dynamics = dynamics
         self._policy = policy
+        #: The window the next :meth:`run` starts from.
+        self._next_window = 0
         self._sanitizer = None
         if sanitize:
             # Local import: the analysis package is debug tooling layered on
@@ -300,14 +302,21 @@ class Simulator:
 
     # -------------------------------------------------------------- execution
     def run(self, num_windows: int) -> SimulationResult:
-        """Simulate retraining windows ``0 .. num_windows - 1``."""
+        """Simulate the next ``num_windows`` retraining windows.
+
+        The first call runs from window 0; a later call continues where the
+        previous run stopped, as :meth:`FleetSimulator.run
+        <repro.fleet.simulator.FleetSimulator.run>` does.
+        """
         if not isinstance(num_windows, numbers.Integral) or num_windows < 1:
             raise SimulationError(f"num_windows must be an integer >= 1, got {num_windows}")
         result = SimulationResult(
             policy_name=self._policy.name, num_gpus=self._server.spec.num_gpus
         )
-        for window_index in range(num_windows):
+        first = self._next_window
+        for window_index in range(first, first + num_windows):
             result.windows.append(self.run_window(window_index))
+            self._next_window = window_index + 1
         return result
 
     def run_window(self, window_index: int) -> WindowResult:

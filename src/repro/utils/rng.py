@@ -9,6 +9,7 @@ experiments reproducible: the same seed always regenerates the same synthetic
 
 from __future__ import annotations
 
+import operator
 from typing import Union
 
 import numpy as np
@@ -45,9 +46,10 @@ def stable_seed(*parts: object, base: int = 0) -> int:
 
     Unlike Python's built-in ``hash`` this does not depend on
     ``PYTHONHASHSEED``: the string representation of the parts is folded with
-    a simple FNV-1a style mix, which is stable across processes.
+    a simple FNV-1a style mix, which is stable across processes.  ``base``
+    may be any integer type, numpy's included.
     """
-    acc = 0xCBF29CE484222325 ^ (base & 0xFFFFFFFFFFFFFFFF)
+    acc = 0xCBF29CE484222325 ^ (operator.index(base) & 0xFFFFFFFFFFFFFFFF)
     for part in parts:
         for byte in repr(part).encode("utf-8"):
             acc ^= byte

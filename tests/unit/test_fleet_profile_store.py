@@ -1,6 +1,7 @@
 """Unit tests for the fleet-wide profile store and its stream keying."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -218,3 +219,93 @@ class TestStaleCurveDecay:
         store.push(KEY, _profile())
         (entry,) = store.as_dict().values()
         assert "last_push_at" not in entry
+
+
+def _fresh_best(store, key):
+    """The best curve point by a fresh argmin over ``curves_for`` (no memo)."""
+    curves = store.curves_for(key)
+    if not curves:
+        return None
+    config = min(curves, key=lambda cfg: (-curves[cfg][1], curves[cfg][0], cfg.key()))
+    return (config, *curves[config])
+
+
+class TestBestCandidateMemo:
+    """``best_candidate`` is memoised per key; ``push``, its only writer, retires it."""
+
+    #: (arrival time, accuracies, costs): same-instant pairs, out-of-order
+    #: arrivals and pushes that flip which configuration is best.
+    PUSHES = [
+        (0.0, (0.70, 0.85), (10.0, 60.0)),
+        (0.0, (0.99, 0.50), (10.0, 60.0)),
+        (300.0, (0.40, 0.95), (20.0, 80.0)),
+        (100.0, (0.90, 0.90), (30.0, 30.0)),
+        (900.0, (0.99, 0.10), (5.0, 90.0)),
+        (900.0, (0.10, 0.99), (5.0, 90.0)),
+        (400.0, (0.60, 0.20), (40.0, 40.0)),
+        (2000.0, (0.80, 0.80), (40.0, 10.0)),
+    ]
+
+    @pytest.mark.parametrize("half_life", [None, 150.0])
+    def test_memo_equals_a_fresh_argmin_after_every_push(self, half_life):
+        store = FleetProfileStore(decay_half_life=half_life)
+        assert store.best_candidate(KEY) is None
+        winners = []
+        for at, accuracies, costs in self.PUSHES:
+            store.best_candidate(KEY)  # memoise the answer this push must retire
+            store.push(KEY, _profile(accuracies=accuracies, costs=costs), at_seconds=at)
+            best = store.best_candidate(KEY)
+            assert best == _fresh_best(store, KEY)
+            assert store.best_candidate(KEY) is best  # served from the memo
+            winners.append(best[0])
+        assert len(set(winners)) == 2, "the pushes never moved the best configuration"
+
+    def test_a_chaos_fleet_rebuilds_each_key_at_most_once_per_push(self):
+        """Over a seed-0 ``chaos_fleet``-shaped run the control scan queries
+        the store's best point thousands of times, but each key's curves
+        are rebuilt for it at most once per push to that key."""
+        from repro.fleet import FleetSimulator, make_fleet
+        from repro.fleet.chaos import ChaosInjector
+
+        windows = 10
+        injector = ChaosInjector(0, intensity=1.5)
+        controller = make_fleet(
+            6,
+            12,
+            gpus_per_site=4,
+            profile_sharing=True,
+            wan_faults=injector.wan_faults(),
+            control_policy="predictive",
+            seed=0,
+        )
+        scenario = injector.compile(
+            [site.name for site in controller.sites],
+            window_duration=controller.window_duration,
+            num_windows=windows,
+            gpus_per_site=4,
+        )
+        store = controller.profile_sharing.store
+        best_candidate, curves_for = store.best_candidate, store.curves_for
+        queries, builds, building = Counter(), Counter(), []
+
+        def counted_best_candidate(key):
+            queries[key] += 1
+            building.append(key)
+            try:
+                return best_candidate(key)
+            finally:
+                building.pop()
+
+        def counted_curves_for(key):
+            if building:
+                builds[key] += 1
+            return curves_for(key)
+
+        # Instance attributes shadow the methods, for the store's own calls too.
+        store.best_candidate = counted_best_candidate
+        store.curves_for = counted_curves_for
+        FleetSimulator(controller, scenario, control_interval=50.0).run(windows)
+        assert builds
+        for key, count in builds.items():
+            assert count <= store.pushes_for(key), key
+        assert sum(queries.values()) > 10 * sum(builds.values())

@@ -1,5 +1,6 @@
 """Unit tests for the trace-driven simulator, metrics and experiment harness."""
 
+import numpy as np
 import pytest
 
 from repro.configs import ConfigurationSpace
@@ -105,6 +106,17 @@ class TestSimulator:
         result = _simulator().run(2)
         assert 0.0 <= result.minimum_instantaneous_accuracy() <= 1.0
 
+    def test_a_second_run_continues_the_timeline(self):
+        def simulator():
+            setup = make_setup("ekya", dataset="cityscapes", num_streams=3, num_gpus=2, seed=3)
+            return Simulator(setup.server, setup.dynamics, setup.policy)
+
+        split = simulator()
+        windows = split.run(2).windows + split.run(2).windows
+        whole = simulator().run(4).windows
+        assert [window.window_index for window in windows] == [0, 1, 2, 3]
+        assert [window.outcomes for window in windows] == [window.outcomes for window in whole]
+
     def test_invalid_run_arguments(self):
         simulator = _simulator()
         with pytest.raises(SimulationError):
@@ -201,6 +213,14 @@ class TestExperimentHarness:
         )
         assert set(table) == {0.0, 0.2}
         assert set(table[0.0]) == {1, 2}
+
+    def test_make_setup_accepts_a_numpy_integer_seed(self):
+        def outcomes(seed):
+            setup = make_setup("ekya", num_streams=2, num_gpus=1, seed=seed)
+            result = Simulator(setup.server, setup.dynamics, setup.policy).run(2)
+            return [window.outcomes for window in result.windows]
+
+        assert outcomes(np.int64(3)) == outcomes(3)
 
     def test_make_setup_respects_parameters(self):
         setup = make_setup("ekya", dataset="waymo", num_streams=5, num_gpus=3, window_duration=400.0)

@@ -40,6 +40,10 @@ class TestStableSeed:
     def test_base_changes_seed(self):
         assert stable_seed("a", base=1) != stable_seed("a", base=2)
 
+    def test_numpy_integer_base_matches_python_int(self):
+        assert stable_seed("x", base=np.int64(3)) == stable_seed("x", base=3)
+        assert stable_seed("x", base=np.uint64(2**64 - 1)) == stable_seed("x", base=2**64 - 1)
+
     def test_result_is_non_negative_63_bit(self):
         seed = stable_seed("anything", 123, 4.5)
         assert 0 <= seed < 2**63
