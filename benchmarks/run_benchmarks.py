@@ -142,7 +142,7 @@ def check_batched_planner(
     must be bit-identical to the scalar oracle's, and its deterministic
     counters (iterations, PickConfigs evaluations, estimated accuracy) must
     match the committed baseline exactly.  The same-machine speedup floor
-    (``min_speedup``, committed as 3.0 at the 100-stream point) applies in
+    (``min_speedup``, committed as 4.5 at the 100-stream point) applies in
     full on developer machines; on CI runners — noisy shared hardware — it
     relaxes by ``REGRESSION_FACTOR``, mirroring the wall-clock convention.
     """

@@ -49,6 +49,8 @@ the start of the oracle's full column.
 
 from __future__ import annotations
 
+import math
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,6 +60,7 @@ from ..exceptions import SchedulingError
 from ..utils.clock import Stopwatch
 from ..utils.math_utils import safe_mean
 from .candidate_table import CandidateTable, _Column, build_candidate_tables
+from . import thief
 from .pick_configs import IMPROVEMENT_EPS as _IMPROVEMENT_EPS
 from .thief import ThiefScheduler
 from .types import ScheduleRequest, WindowSchedule
@@ -423,7 +426,18 @@ def inference_gpu_of(table: CandidateTable, units: int) -> float:
 
 
 class _CohortContext:
-    """Per-request state for one sweep of the batched thief."""
+    """Per-request state for one sweep of the batched thief.
+
+    ``units`` is the lattice point, two entries per stream (inference, then
+    retraining units); ``accuracy_of``, ``accuracy_sum`` and
+    ``best_accuracy`` are the committed objective.  ``queried`` holds each
+    stream's accuracy rows *queried* so far, indexed by inference level: a
+    miss there is exactly one oracle evaluation (the memo may hold
+    speculatively batched columns the count must not include until
+    queried).  A row is a prefix of its column: ``load`` runs on a miss
+    *or* before a read past the row's end and extends the column in place,
+    so the list a caller holds stays the row.
+    """
 
     __slots__ = (
         "request",
@@ -432,6 +446,11 @@ class _CohortContext:
         "column_maps",
         "units",
         "base_runtime",
+        "queried",
+        "evaluations",
+        "accuracy_of",
+        "accuracy_sum",
+        "best_accuracy",
     )
 
     def __init__(
@@ -447,6 +466,229 @@ class _CohortContext:
         self.column_maps = [table._columns for table in tables_list]
         self.units = units
         self.base_runtime = 0.0
+        self.queried: List[List[Optional[List[float]]]] = [
+            [None] * (table._total_units + 1) for table in tables_list
+        ]
+        self.evaluations = 0
+        self.accuracy_of: List[float] = []
+        self.accuracy_sum = 0.0
+        self.best_accuracy = 0.0
+
+    def load(self, stream: int, level: int, index: int) -> List[float]:
+        """Query ``stream``'s row at inference ``level``, covering ``index``.
+
+        A missed column is computed for every stream of the cohort, to the
+        retraining level about to be read.
+        """
+        column = self.column_maps[stream].get(level)
+        if column is None:
+            compute_columns_batched([(table, level, index) for table in self.tables_list])
+            column = self.column_maps[stream][level]
+        elif index >= len(column.accuracy):
+            compute_columns_batched([(self.tables_list[stream], level, index)])
+        row = column.accuracy
+        if self.queried[stream][level] is None:
+            self.evaluations += 1
+            self.queried[stream][level] = row
+        return row
+
+    def accuracy_after(self, job: int, gained: int) -> float:
+        """``job``'s stream accuracy once ``job`` gains ``gained`` units (gives
+        them up if negative), loading the row only where the walk would."""
+        stream = job >> 1
+        level = self.units[2 * stream]
+        index = self.units[2 * stream + 1]
+        if job & 1:
+            index += gained
+        else:
+            level += gained
+        row = self.queried[stream][level]
+        if row is None or len(row) <= index:
+            row = self.load(stream, level, index)
+        return row[index]
+
+    def delta(self, victim_job: int, step: int) -> float:
+        """The victim term of the sweep's objective at ``step``, verbatim."""
+        return self.accuracy_after(victim_job, -step) - self.accuracy_of[victim_job >> 1]
+
+    def guard(self, thief_job: int, step: int) -> float:
+        """A victim delta at or below this makes ``thief_job``'s ``step``-th
+        steal from another stream non-improving.
+
+        The bound is verified on the sweep's own expression, and
+        round-to-nearest ``+`` and ``/`` are monotone, so every smaller
+        delta fails the improvement test too — exactly, with no tolerance.
+        """
+        acc_thief = self.accuracy_of[thief_job >> 1]
+        base = self.accuracy_sum - acc_thief + self.accuracy_after(thief_job, step)
+        threshold = self.best_accuracy + _IMPROVEMENT_EPS
+        num_streams = len(self.accuracy_of)
+        bound = threshold * num_streams - base
+        decrement = math.ulp(base)
+        while (base + bound) / num_streams > threshold:
+            bound -= decrement
+            decrement *= 2
+        return bound
+
+    def walk(self, thief_job: int, victim_job: int) -> Tuple[int, bool]:
+        """The scalar visit: ``thief_job`` steals from ``victim_job`` unit by unit.
+
+        Each improving steal is committed; the visit ends after
+        :data:`~repro.core.thief.PATIENCE` non-improving steals in a row or
+        when the victim runs dry, and hands the non-improving tail back.
+        This is the oracle's loop with the allocation vector flattened into
+        local integers: a steal touches at most four unit counters (thief /
+        victim × inference / retraining), written back once, and a row is
+        re-fetched only when its stream's *inference* level moved — the
+        only key a column depends on.  Returns the steals tried and whether
+        any was committed.
+        """
+        patience = thief.PATIENCE
+        eps = _IMPROVEMENT_EPS
+        units = self.units
+        accuracy_of = self.accuracy_of
+        num_streams = len(accuracy_of)
+        accuracy_sum = self.accuracy_sum
+        best_accuracy = self.best_accuracy
+        load = self.load
+        iterations = 0
+        improved = False
+        misses = 0
+        pending = 0
+        thief_stream = thief_job >> 1
+        thief_inf = thief_stream * 2
+        thief_ret = thief_inf + 1
+        thief_rows = self.queried[thief_stream]
+        thief_is_inf = thief_job == thief_inf
+        thief_inf_units = units[thief_inf]
+        thief_ret_units = units[thief_ret]
+        acc_thief = accuracy_of[thief_stream]
+        victim_stream = victim_job >> 1
+        if victim_stream == thief_stream:
+            # Intra-stream: units move between one stream's own inference
+            # and retraining jobs.
+            while True:
+                if thief_is_inf:
+                    if thief_ret_units == 0:
+                        break
+                    thief_ret_units -= 1
+                    thief_inf_units += 1
+                else:
+                    if thief_inf_units == 0:
+                        break
+                    thief_inf_units -= 1
+                    thief_ret_units += 1
+                pending += 1
+                iterations += 1
+                row = thief_rows[thief_inf_units]
+                if row is None or len(row) <= thief_ret_units:
+                    row = load(thief_stream, thief_inf_units, thief_ret_units)
+                new_thief = row[thief_ret_units]
+                new_sum = accuracy_sum - acc_thief + new_thief
+                accuracy = new_sum / num_streams
+                if accuracy > best_accuracy + eps:
+                    acc_thief = new_thief
+                    accuracy_sum = new_sum
+                    best_accuracy = accuracy
+                    pending = 0
+                    misses = 0
+                    improved = True
+                else:
+                    misses += 1
+                    if misses >= patience:
+                        break
+            if pending:
+                if thief_is_inf:
+                    thief_inf_units -= pending
+                    thief_ret_units += pending
+                else:
+                    thief_inf_units += pending
+                    thief_ret_units -= pending
+            units[thief_inf] = thief_inf_units
+            units[thief_ret] = thief_ret_units
+            accuracy_of[thief_stream] = acc_thief
+            self.accuracy_sum = accuracy_sum
+            self.best_accuracy = best_accuracy
+            return iterations, improved
+        victim_inf = victim_stream * 2
+        victim_ret = victim_inf + 1
+        victim_rows = self.queried[victim_stream]
+        victim_is_inf = victim_job == victim_inf
+        victim_inf_units = units[victim_inf]
+        victim_ret_units = units[victim_ret]
+        acc_victim = accuracy_of[victim_stream]
+        # Both streams' current points were read, so their rows are queried
+        # and cover them; reads past a row's end can only come from a newly
+        # loaded row or a growing retraining index, and only those are
+        # checked.
+        if thief_is_inf:
+            thief_row = None
+        else:
+            # Retraining thief: its inference level is fixed for the whole
+            # visit, so its column row is too.
+            thief_row = thief_rows[thief_inf_units]
+        if victim_is_inf:
+            victim_row = None
+        else:
+            victim_row = victim_rows[victim_inf_units]
+        while True:
+            if victim_is_inf:
+                if victim_inf_units == 0:
+                    break
+                victim_inf_units -= 1
+                victim_row = victim_rows[victim_inf_units]
+                if victim_row is None or len(victim_row) <= victim_ret_units:
+                    victim_row = load(victim_stream, victim_inf_units, victim_ret_units)
+            else:
+                if victim_ret_units == 0:
+                    break
+                victim_ret_units -= 1
+            if thief_is_inf:
+                thief_inf_units += 1
+                thief_row = thief_rows[thief_inf_units]
+                if thief_row is None or len(thief_row) <= thief_ret_units:
+                    thief_row = load(thief_stream, thief_inf_units, thief_ret_units)
+            else:
+                thief_ret_units += 1
+                if len(thief_row) <= thief_ret_units:
+                    load(thief_stream, thief_inf_units, thief_ret_units)
+            pending += 1
+            iterations += 1
+            new_thief = thief_row[thief_ret_units]
+            new_sum = accuracy_sum - acc_thief + new_thief
+            new_victim = victim_row[victim_ret_units]
+            new_sum += new_victim - acc_victim
+            accuracy = new_sum / num_streams
+            if accuracy > best_accuracy + eps:
+                acc_thief = new_thief
+                acc_victim = new_victim
+                accuracy_sum = new_sum
+                best_accuracy = accuracy
+                pending = 0
+                misses = 0
+                improved = True
+            else:
+                misses += 1
+                if misses >= patience:
+                    break
+        if pending:
+            if victim_is_inf:
+                victim_inf_units += pending
+            else:
+                victim_ret_units += pending
+            if thief_is_inf:
+                thief_inf_units -= pending
+            else:
+                thief_ret_units -= pending
+        units[thief_inf] = thief_inf_units
+        units[thief_ret] = thief_ret_units
+        units[victim_inf] = victim_inf_units
+        units[victim_ret] = victim_ret_units
+        accuracy_of[thief_stream] = acc_thief
+        accuracy_of[victim_stream] = acc_victim
+        self.accuracy_sum = accuracy_sum
+        self.best_accuracy = best_accuracy
+        return iterations, improved
 
 
 class BatchedThiefScheduler(ThiefScheduler):
@@ -456,9 +698,10 @@ class BatchedThiefScheduler(ThiefScheduler):
     trajectory, same decisions, accuracies and counters — but every lattice
     column the trajectory misses is computed for *all* streams of the cohort
     in stacked numpy blocks (:func:`compute_columns_batched`), as a prefix
-    that grows only when the sweep reads past it, and the
-    steal loop itself runs on flat integer lists instead of the allocation
-    vector's dict operations.  :meth:`schedule_cohort` extends the batch
+    that grows only when the sweep reads past it; the steal loop runs on
+    flat integer lists instead of the allocation vector's dict operations,
+    and settles every visit that provably commits nothing with one exact
+    guard comparison per step instead of walking it.  :meth:`schedule_cohort` extends the batch
     across many requests: all same-instant sites' fair-start columns stack
     into one blocked ``(site, stream, level, config)`` evaluation before the
     per-site sweeps run.  It is the only scheduler the fleet plans with;
@@ -525,211 +768,85 @@ class BatchedThiefScheduler(ThiefScheduler):
     def _sweep(self, context: _CohortContext) -> WindowSchedule:
         watch = Stopwatch(self._clock)
         request = context.request
-        tables_list = context.tables_list
-        column_maps = context.column_maps
         units = context.units
-        num_streams = len(tables_list)
-        num_jobs = 2 * num_streams
-        patience = self._patience
-        eps = _IMPROVEMENT_EPS
-
-        # Per-stream accuracy rows actually *queried* so far: a miss here is
-        # exactly one oracle evaluation (the memo may hold speculatively
-        # batched columns the count must not include until queried).  Levels
-        # are dense small ints, so a flat list per stream turns the hot
-        # loop's row lookup into an index instead of a dict probe.
-        #
-        # A row is a prefix of its column: the hot loop calls ``load`` on a
-        # miss *or* before a read past the row's end, and ``load``
-        # extends the column in place, so the list a caller holds stays the
-        # row.  A missed column is computed for every stream of the cohort,
-        # to the retraining level about to be read.
-        queried: List[List[Optional[List[float]]]] = [
-            [None] * (table._total_units + 1) for table in tables_list
-        ]
-        evaluations = 0
-
-        def load(stream: int, level: int, index: int) -> List[float]:
-            nonlocal evaluations
-            column = column_maps[stream].get(level)
-            if column is None:
-                compute_columns_batched([(table, level, index) for table in tables_list])
-                column = column_maps[stream][level]
-            elif index >= len(column.accuracy):
-                compute_columns_batched([(tables_list[stream], level, index)])
-            row = column.accuracy
-            if queried[stream][level] is None:
-                evaluations += 1
-                queried[stream][level] = row
-            return row
-
-        accuracy_of: List[float] = []
-        for stream in range(num_streams):
-            row = load(stream, units[2 * stream], units[2 * stream + 1])
-            accuracy_of.append(row[units[2 * stream + 1]])
-        accuracy_sum = sum(accuracy_of)
-        best_accuracy = accuracy_sum / num_streams
+        num_jobs = len(units)
+        patience = thief.PATIENCE
+        accuracy_of = context.accuracy_of
+        for stream in range(len(context.tables_list)):
+            index = units[2 * stream + 1]
+            accuracy_of.append(context.load(stream, units[2 * stream], index)[index])
+        context.accuracy_sum = sum(accuracy_of)
+        context.best_accuracy = context.accuracy_sum / len(accuracy_of)
         iterations = 1
 
-        # The sweep below is the scalar thief loop with the allocation vector
-        # flattened into local integers: a steal touches at most four unit
-        # counters (thief/victim × inference/retraining), so each (thief,
-        # victim) pair tracks them as locals and writes back once.  A column
-        # row is re-fetched only when its stream's *inference* level moved —
-        # the only key a column depends on.  Zero-unit victims are skipped
-        # outright: the scalar path's steal fails immediately for them, and
-        # only the thief gains units mid-sweep, so the skip is
-        # trajectory-identical.
-        for _ in range(self._max_rounds):
-            improved_in_round = False
-            for thief_job in range(num_jobs):
-                thief_stream = thief_job >> 1
-                thief_inf = thief_stream * 2
-                thief_ret = thief_inf + 1
-                thief_rows = queried[thief_stream]
-                thief_is_inf = thief_job == thief_inf
-                for victim_job, victim_units in enumerate(units):
-                    if victim_units == 0 or victim_job == thief_job:
-                        continue
-                    victim_stream = victim_job >> 1
-                    thief_inf_units = units[thief_inf]
-                    thief_ret_units = units[thief_ret]
-                    acc_thief = accuracy_of[thief_stream]
-                    misses = 0
-                    pending = 0
-                    if victim_stream == thief_stream:
-                        # Intra-stream: units move between one stream's own
-                        # inference and retraining jobs.
-                        while True:
-                            if thief_is_inf:
-                                if thief_ret_units == 0:
-                                    break
-                                thief_ret_units -= 1
-                                thief_inf_units += 1
-                            else:
-                                if thief_inf_units == 0:
-                                    break
-                                thief_inf_units -= 1
-                                thief_ret_units += 1
-                            pending += 1
-                            iterations += 1
-                            row = thief_rows[thief_inf_units]
-                            if row is None or len(row) <= thief_ret_units:
-                                row = load(thief_stream, thief_inf_units, thief_ret_units)
-                            new_thief = row[thief_ret_units]
-                            new_sum = accuracy_sum - acc_thief + new_thief
-                            accuracy = new_sum / num_streams
-                            if accuracy > best_accuracy + eps:
-                                acc_thief = new_thief
-                                accuracy_sum = new_sum
-                                best_accuracy = accuracy
-                                pending = 0
-                                misses = 0
-                                improved_in_round = True
-                            else:
-                                misses += 1
-                                if misses >= patience:
-                                    break
-                        if pending:
-                            if thief_is_inf:
-                                thief_inf_units -= pending
-                                thief_ret_units += pending
-                            else:
-                                thief_inf_units += pending
-                                thief_ret_units -= pending
-                        units[thief_inf] = thief_inf_units
-                        units[thief_ret] = thief_ret_units
-                        accuracy_of[thief_stream] = acc_thief
-                        continue
-                    victim_inf = victim_stream * 2
-                    victim_ret = victim_inf + 1
-                    victim_rows = queried[victim_stream]
-                    victim_is_inf = victim_job == victim_inf
-                    victim_inf_units = units[victim_inf]
-                    victim_ret_units = units[victim_ret]
-                    acc_victim = accuracy_of[victim_stream]
-                    # Both streams' current points were read, so their rows
-                    # are queried and cover them; reads past a row's end can
-                    # only come from a newly loaded row or a growing
-                    # retraining index, and only those are checked.
-                    if thief_is_inf:
-                        thief_row = None
+        # The oracle's sweep, visit for visit.  A visit that commits nothing
+        # changes no state, and one to another stream's victim commits
+        # nothing when every step's victim delta sits at or below the
+        # thief's guard for that step (``_CohortContext.guard``).  Such a
+        # visit is settled without walking: it counts the steals the walk
+        # would try, and the rows the walk would query were queried when
+        # its deltas and guards were computed, lazily, at the visit whose
+        # walk would first read them.  ``deltas`` caches each job's victim
+        # deltas per step, and ``first_delta`` is the one comparison most
+        # visits need: a one-unit job's delta, -inf for a job without units
+        # (skipped, as the oracle's steal fails at once), +inf to send the
+        # visit down the slow path (deltas not yet computed, several units,
+        # or the thief's own stream, which each thief refreshes so that its
+        # sibling is always walked).  A commit changes the two streams it
+        # touches and the thief's state, so it refreshes exactly their
+        # deltas and the guards.
+        first_delta = [-math.inf if held == 0 else math.inf for held in units]
+        deltas: List[Optional[List[float]]] = [None] * num_jobs
+
+        def refresh(stream: int) -> None:
+            for job in (2 * stream, 2 * stream + 1):
+                deltas[job] = None
+                first_delta[job] = -math.inf if units[job] == 0 else math.inf
+
+        for thief_job in range(num_jobs):
+            thief_stream = thief_job >> 1
+            refresh(thief_stream)
+            guards: List[float] = []
+            guard = -math.inf
+            for victim_job in chain(range(thief_job), range(thief_job + 1, num_jobs)):
+                if first_delta[victim_job] <= guard:
+                    iterations += units[victim_job]
+                    continue
+                victim_stream = victim_job >> 1
+                if victim_stream != thief_stream:
+                    steps = min(units[victim_job], patience)
+                    victim_deltas = deltas[victim_job]
+                    if victim_deltas is None:
+                        victim_deltas = deltas[victim_job] = []
+                    for step in range(steps):
+                        if step == len(guards):
+                            guards.append(context.guard(thief_job, step + 1))
+                            guard = guards[0]
+                        if step == len(victim_deltas):
+                            victim_deltas.append(context.delta(victim_job, step + 1))
+                            if units[victim_job] == 1:
+                                first_delta[victim_job] = victim_deltas[0]
+                        if victim_deltas[step] > guards[step]:
+                            break
                     else:
-                        # Retraining thief: its inference level is fixed for
-                        # the whole pair, so its column row is too.
-                        thief_row = thief_rows[thief_inf_units]
-                    if victim_is_inf:
-                        victim_row = None
-                    else:
-                        victim_row = victim_rows[victim_inf_units]
-                    while True:
-                        if victim_is_inf:
-                            if victim_inf_units == 0:
-                                break
-                            victim_inf_units -= 1
-                            victim_row = victim_rows[victim_inf_units]
-                            if victim_row is None or len(victim_row) <= victim_ret_units:
-                                victim_row = load(
-                                    victim_stream, victim_inf_units, victim_ret_units
-                                )
-                        else:
-                            if victim_ret_units == 0:
-                                break
-                            victim_ret_units -= 1
-                        if thief_is_inf:
-                            thief_inf_units += 1
-                            thief_row = thief_rows[thief_inf_units]
-                            if thief_row is None or len(thief_row) <= thief_ret_units:
-                                thief_row = load(thief_stream, thief_inf_units, thief_ret_units)
-                        else:
-                            thief_ret_units += 1
-                            if len(thief_row) <= thief_ret_units:
-                                load(thief_stream, thief_inf_units, thief_ret_units)
-                        pending += 1
-                        iterations += 1
-                        new_thief = thief_row[thief_ret_units]
-                        new_sum = accuracy_sum - acc_thief + new_thief
-                        new_victim = victim_row[victim_ret_units]
-                        new_sum += new_victim - acc_victim
-                        accuracy = new_sum / num_streams
-                        if accuracy > best_accuracy + eps:
-                            acc_thief = new_thief
-                            acc_victim = new_victim
-                            accuracy_sum = new_sum
-                            best_accuracy = accuracy
-                            pending = 0
-                            misses = 0
-                            improved_in_round = True
-                        else:
-                            misses += 1
-                            if misses >= patience:
-                                break
-                    if pending:
-                        if victim_is_inf:
-                            victim_inf_units += pending
-                        else:
-                            victim_ret_units += pending
-                        if thief_is_inf:
-                            thief_inf_units -= pending
-                        else:
-                            thief_ret_units -= pending
-                    units[thief_inf] = thief_inf_units
-                    units[thief_ret] = thief_ret_units
-                    units[victim_inf] = victim_inf_units
-                    units[victim_ret] = victim_ret_units
-                    accuracy_of[thief_stream] = acc_thief
-                    accuracy_of[victim_stream] = acc_victim
-            if not improved_in_round:
-                break
+                        iterations += steps
+                        continue
+                made, improved = context.walk(thief_job, victim_job)
+                iterations += made
+                if improved:
+                    refresh(thief_stream)
+                    refresh(victim_stream)
+                    guards = []
+                    guard = -math.inf
 
         decisions = {}
         for stream, name in enumerate(context.stream_names):
             inference_units = units[2 * stream]
-            if queried[stream][inference_units] is None:
+            if context.queried[stream][inference_units] is None:
                 # Unreachable in practice (the final lattice point was always
                 # queried), but keeps the counter oracle-exact regardless.
-                load(stream, inference_units, units[2 * stream + 1])
-            decisions[name] = tables_list[stream].decision(
+                context.load(stream, inference_units, units[2 * stream + 1])
+            decisions[name] = context.tables_list[stream].decision(
                 inference_units, units[2 * stream + 1]
             )
         schedule = WindowSchedule(
@@ -740,7 +857,7 @@ class BatchedThiefScheduler(ThiefScheduler):
             ),
             scheduler_runtime_seconds=context.base_runtime + watch.elapsed(),
             iterations=iterations,
-            pick_configs_evaluations=evaluations,
+            pick_configs_evaluations=context.evaluations,
         )
         schedule.validate_against(request)
         return schedule

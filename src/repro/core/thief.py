@@ -25,6 +25,7 @@ Hot-path implementation notes (the behaviour is the paper's Algorithm 1):
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.jobs import inference_job_id, retraining_job_id
@@ -36,6 +37,15 @@ from .candidate_table import CandidateTable, build_candidate_tables
 from .pick_configs import IMPROVEMENT_EPS as _IMPROVEMENT_EPS
 from .types import ScheduleRequest, Scheduler, WindowSchedule
 
+#: Consecutive non-improving steals a thief tolerates before it moves on to
+#: the next victim.  The paper's Algorithm 1 stops at the first
+#: non-improving steal (patience 1); a small look-ahead avoids a local
+#: minimum where a retraining job needs several quanta before its retraining
+#: can complete inside the window at all, so nothing improves until the
+#: allocation crosses that threshold.  Both sweeps read it at call time, so
+#: tests patch it here.
+PATIENCE = 4
+
 
 class ThiefScheduler(Scheduler):
     """Ekya's accuracy-optimising scheduler.
@@ -43,23 +53,12 @@ class ThiefScheduler(Scheduler):
     Parameters
     ----------
     steal_quantum:
-        The stealing increment Δ.  Defaults to the request's allocation unit
-        δ; Figure 10 studies its sensitivity.
+        The stealing increment Δ, positive and finite.  Defaults to the
+        request's allocation unit δ; Figure 10 studies its sensitivity.
     release_retraining_gpu_to_inference:
         Whether the accuracy estimator assumes the retraining job's GPUs flow
         back to the stream's inference job after the retraining completes
         (Ekya re-invokes the scheduler at that point, so the default is True).
-    max_rounds:
-        Number of full thief/victim sweeps.  One sweep (the paper's algorithm)
-        is almost always sufficient because later thieves see the allocations
-        left by earlier ones; additional rounds are supported for ablations.
-    patience:
-        Number of consecutive non-improving steals tolerated before the thief
-        moves on to the next victim.  The paper's Algorithm 1 stops at the
-        first non-improving steal (patience = 1); a small look-ahead avoids a
-        local minimum where a retraining job needs several quanta before its
-        retraining can complete inside the window at all, so nothing improves
-        until the allocation crosses that threshold.
     clock:
         Clock used to measure ``scheduler_runtime_seconds``; tests inject a
         :class:`~repro.utils.clock.ManualClock` for deterministic schedules.
@@ -72,20 +71,14 @@ class ThiefScheduler(Scheduler):
         *,
         steal_quantum: Optional[float] = None,
         release_retraining_gpu_to_inference: bool = True,
-        max_rounds: int = 1,
-        patience: int = 4,
         clock: Optional[Clock] = None,
     ) -> None:
-        if steal_quantum is not None and steal_quantum <= 0:
-            raise SchedulingError("steal_quantum must be positive")
-        if max_rounds < 1:
-            raise SchedulingError("max_rounds must be >= 1")
-        if patience < 1:
-            raise SchedulingError("patience must be >= 1")
+        if steal_quantum is not None and not 0 < steal_quantum < math.inf:
+            raise SchedulingError(
+                f"steal_quantum must be positive and finite, got {steal_quantum}"
+            )
         self._steal_quantum = steal_quantum
         self._release = release_retraining_gpu_to_inference
-        self._max_rounds = max_rounds
-        self._patience = patience
         self._clock = clock
 
     # ------------------------------------------------------------- interface
@@ -151,56 +144,54 @@ class ThiefScheduler(Scheduler):
         best_accuracy = accuracy_sum / num_streams
         iterations = 1
 
-        for _ in range(self._max_rounds):
-            improved_in_round = False
-            for thief_job in job_ids:
-                thief_stream = job_stream[thief_job]
-                for victim_job in job_ids:
-                    if thief_job == victim_job:
-                        continue
-                    victim_stream = job_stream[victim_job]
-                    thief_inf, thief_ret = stream_jobs[thief_stream]
-                    misses = 0
-                    pending = 0  # uncommitted quanta moved victim -> thief
-                    while True:
-                        if not allocation.steal_units(thief_job, victim_job, 1):
-                            break
-                        pending += 1
-                        iterations += 1
-                        # A steal perturbs at most these two streams; every
-                        # other stream's decision — and its contribution to
-                        # the window objective — is unchanged.
-                        new_thief = tables[thief_stream].accuracy_at(
-                            allocation.units(thief_inf), allocation.units(thief_ret)
+        # One sweep, as in the paper: later thieves see the allocations
+        # earlier ones left.
+        patience = PATIENCE
+        for thief_job in job_ids:
+            thief_stream = job_stream[thief_job]
+            for victim_job in job_ids:
+                if thief_job == victim_job:
+                    continue
+                victim_stream = job_stream[victim_job]
+                thief_inf, thief_ret = stream_jobs[thief_stream]
+                misses = 0
+                pending = 0  # uncommitted quanta moved victim -> thief
+                while True:
+                    if not allocation.steal_units(thief_job, victim_job, 1):
+                        break
+                    pending += 1
+                    iterations += 1
+                    # A steal perturbs at most these two streams; every
+                    # other stream's decision — and its contribution to
+                    # the window objective — is unchanged.
+                    new_thief = tables[thief_stream].accuracy_at(
+                        allocation.units(thief_inf), allocation.units(thief_ret)
+                    )
+                    new_sum = accuracy_sum - accuracy_of[thief_stream] + new_thief
+                    if victim_stream != thief_stream:
+                        victim_inf, victim_ret = stream_jobs[victim_stream]
+                        new_victim = tables[victim_stream].accuracy_at(
+                            allocation.units(victim_inf), allocation.units(victim_ret)
                         )
-                        new_sum = accuracy_sum - accuracy_of[thief_stream] + new_thief
+                        new_sum += new_victim - accuracy_of[victim_stream]
+                    accuracy = new_sum / num_streams
+                    if accuracy > best_accuracy + _IMPROVEMENT_EPS:
+                        accuracy_of[thief_stream] = new_thief
                         if victim_stream != thief_stream:
-                            victim_inf, victim_ret = stream_jobs[victim_stream]
-                            new_victim = tables[victim_stream].accuracy_at(
-                                allocation.units(victim_inf), allocation.units(victim_ret)
-                            )
-                            new_sum += new_victim - accuracy_of[victim_stream]
-                        accuracy = new_sum / num_streams
-                        if accuracy > best_accuracy + _IMPROVEMENT_EPS:
-                            accuracy_of[thief_stream] = new_thief
-                            if victim_stream != thief_stream:
-                                accuracy_of[victim_stream] = new_victim
-                            accuracy_sum = new_sum
-                            best_accuracy = accuracy
-                            pending = 0
-                            misses = 0
-                            improved_in_round = True
-                        else:
-                            misses += 1
-                            if misses >= self._patience:
-                                break
-                    if pending:
-                        # Abandon the non-improving tail of this trajectory:
-                        # the inverse transfer restores the committed lattice
-                        # point exactly.
-                        allocation.steal_units(victim_job, thief_job, pending)
-            if not improved_in_round:
-                break
+                            accuracy_of[victim_stream] = new_victim
+                        accuracy_sum = new_sum
+                        best_accuracy = accuracy
+                        pending = 0
+                        misses = 0
+                    else:
+                        misses += 1
+                        if misses >= patience:
+                            break
+                if pending:
+                    # Abandon the non-improving tail of this trajectory: the
+                    # inverse transfer restores the committed lattice point
+                    # exactly.
+                    allocation.steal_units(victim_job, thief_job, pending)
 
         decisions = {}
         for name in stream_names:

@@ -7,8 +7,8 @@ PickConfigs-evaluation counters and estimated accuracies to
 :class:`~repro.core.ThiefScheduler` on any request.  The scalar thief is the
 reference oracle — these properties fuzz randomized problems (fleet shapes,
 pruned grids, degraded sites, empty sites, hand-built accuracy landscapes,
-row blocks, prefix columns) and compare the two paths field
-by field with ``==``, never with tolerances.
+row blocks, prefix columns, multi-unit victims under every patience) and
+compare the two paths field by field with ``==``, never with tolerances.
 """
 
 import math
@@ -33,7 +33,7 @@ from repro.core import (
     StreamWindowInput,
     ThiefScheduler,
 )
-from repro.core import batched_planner
+from repro.core import batched_planner, thief
 from repro.core.batched_planner import BatchedThiefScheduler
 from repro.datasets import make_workload
 from repro.fleet.factory import make_fleet
@@ -505,21 +505,18 @@ def prefix_floor(levels):
         yield firsts
 
 
-def prefix_lattice_gpus(num_streams, quantum, floor, extra_gpus):
-    """Whole GPUs giving each stream at least ``2 * floor`` lattice units.
-
-    Then the fair start hands every stream at least ``floor`` retraining
-    units, so a retraining thief's steals read past a ``floor``-level prefix.
-    """
-    return math.ceil(2 * floor * num_streams * quantum) + extra_gpus
+def lattice_gpus(num_streams, quantum, units_per_job, extra_gpus):
+    """Whole GPUs giving every job at least ``units_per_job`` units at the fair start."""
+    return math.ceil(2 * units_per_job * num_streams * quantum) + extra_gpus
 
 
 class TestPrefixColumns:
     """Growing columns on demand changes no bit.
 
     ``PREFIX_FLOOR`` is patched down to 1–2 levels and every lattice is
-    sized by :func:`prefix_lattice_gpus`, so new columns start shorter than
-    the sweep's reads and every example extends columns in place.
+    sized by :func:`lattice_gpus` to give every job at least ``floor``
+    units, so a retraining thief's steals read past a ``floor``-level
+    prefix and every example extends columns in place.
     """
 
     @settings(max_examples=25, deadline=None)
@@ -541,7 +538,7 @@ class TestPrefixColumns:
         request = ScheduleRequest(
             window_index=0,
             window_seconds=200.0,
-            total_gpus=float(prefix_lattice_gpus(len(streams), quantum, floor, extra_gpus)),
+            total_gpus=float(lattice_gpus(len(streams), quantum, floor, extra_gpus)),
             delta=0.1,
             a_min=0.3,
             streams=streams,
@@ -566,7 +563,7 @@ class TestPrefixColumns:
     )
     def test_cohorts_bit_identical(self, stream_counts, extra_gpus, seed, floor, delta):
         """Oracle-profiled 1–3-site cohorts with short prefixes."""
-        num_gpus = prefix_lattice_gpus(max(stream_counts), delta, floor, extra_gpus)
+        num_gpus = lattice_gpus(max(stream_counts), delta, floor, extra_gpus)
         requests = {
             f"site-{index}": build_oracle_request(
                 num_streams,
@@ -584,3 +581,89 @@ class TestPrefixColumns:
             scalar = ThiefScheduler(steal_quantum=delta).schedule(request)
             assert_schedules_identical(scalar, cohort[key])
         assert max(firsts) > 1
+
+
+@contextmanager
+def patience(steps):
+    """Patch :data:`~repro.core.thief.PATIENCE`, which both sweeps read at call time."""
+    with mock.patch.object(thief, "PATIENCE", steps):
+        yield
+
+
+class TestGuardedVisits:
+    """Settling visits by their guards changes no bit.
+
+    Every lattice is sized by :func:`lattice_gpus` so the fair start hands
+    every job at least two units (coarse quanta, more GPUs than streams),
+    and :data:`~repro.core.thief.PATIENCE` is patched to 1–4, so victims
+    are settled over several steps, or walked, under every patience.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6).flatmap(
+            lambda extra: st.permutations(list(ROW_KINDS) + extra)
+        ),
+        values=st.lists(unit, min_size=9, max_size=9),
+        steps=st.integers(min_value=1, max_value=4),
+        units_per_job=st.integers(min_value=2, max_value=4),
+        extra_gpus=st.integers(min_value=0, max_value=2),
+        quantum=st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    def test_mixed_row_kinds_bit_identical(
+        self, kinds, values, steps, units_per_job, extra_gpus, quantum
+    ):
+        """Fast, below-a_min and under-provisioned rows, multi-unit victims."""
+        streams = {
+            f"cam-{i}": kind_stream(f"cam-{i}", kind, values[i])
+            for i, kind in enumerate(kinds)
+        }
+        request = ScheduleRequest(
+            window_index=0,
+            window_seconds=200.0,
+            total_gpus=float(lattice_gpus(len(streams), quantum, units_per_job, extra_gpus)),
+            delta=0.1,
+            a_min=0.3,
+            streams=streams,
+        )
+        start = ThiefScheduler.fair_start(request, quantum).as_units_dict()
+        assert min(start.values()) >= units_per_job
+        with patience(steps):
+            batched = BatchedThiefScheduler(steal_quantum=quantum).schedule(request)
+            scalar = ThiefScheduler(steal_quantum=quantum).schedule(request)
+        assert_schedules_identical(scalar, batched)
+
+    @settings(
+        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        stream_counts=st.lists(
+            st.integers(min_value=2, max_value=8), min_size=1, max_size=3
+        ),
+        units_per_job=st.integers(min_value=2, max_value=4),
+        extra_gpus=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=10_000),
+        steps=st.integers(min_value=1, max_value=4),
+        delta=st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    def test_cohorts_bit_identical(
+        self, stream_counts, units_per_job, extra_gpus, seed, steps, delta
+    ):
+        """Oracle-profiled 1–3-site cohorts whose victims hold several units."""
+        num_gpus = lattice_gpus(max(stream_counts), delta, units_per_job, extra_gpus)
+        requests = {
+            f"site-{index}": build_oracle_request(
+                num_streams,
+                num_gpus,
+                seed + index,
+                default_retraining_grid(),
+                default_inference_configs(),
+                delta,
+            )
+            for index, num_streams in enumerate(stream_counts)
+        }
+        with patience(steps):
+            cohort = BatchedThiefScheduler(steal_quantum=delta).schedule_cohort(requests)
+            for key, request in requests.items():
+                scalar = ThiefScheduler(steal_quantum=delta).schedule(request)
+                assert_schedules_identical(scalar, cohort[key])

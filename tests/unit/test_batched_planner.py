@@ -4,31 +4,42 @@ The equivalence guarantees live in the property suite
 (``tests/property/test_property_batched_planner.py``); this module pins
 the plumbing around them — the prepare/solve split, cohort scheduling over
 explicit request maps, the preplanned-window handoff, how the fleet plans
-sites whose policy is not the plain thief, and the prefix columns.
+sites whose policy is not the plain thief, the prefix columns and the
+guarded steal sweep.
 """
 
+import math
 import re
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 
-from repro.cluster import EdgeServer, EdgeServerSpec
-from repro.configs import ConfigurationSpace
-from repro.core import EkyaPolicy, OracleProfileSource, UniformPolicy
-from repro.core import batched_planner
+from repro.cluster import AllocationVector, EdgeServer, EdgeServerSpec
+from repro.configs import ConfigurationSpace, InferenceConfig, RetrainingConfig
+from repro.core import (
+    EkyaPolicy,
+    OracleProfileSource,
+    ScheduleRequest,
+    StreamWindowInput,
+    ThiefScheduler,
+    UniformPolicy,
+)
+from repro.core import batched_planner, thief
 from repro.core.batched_planner import (
     PREFIX_FLOOR,
     BatchedThiefScheduler,
     compute_columns_batched,
     inference_gpu_of,
 )
-from repro.core.candidate_table import build_candidate_tables
+from repro.core.candidate_table import _Column, build_candidate_tables
+from repro.core.pick_configs import IMPROVEMENT_EPS
 from repro.datasets import make_workload
 from repro.exceptions import FleetError, SchedulingError, SimulationError
 from repro.fleet import EdgeSite, FleetController, FleetSimulator, SiteSpec
 from repro.fleet.admission import LeastLoadedAdmission
 from repro.fleet.calendar import EventCalendar, WindowBoundary
-from repro.profiles import AnalyticDynamics
+from repro.profiles import AnalyticDynamics, RetrainingEstimate, StreamWindowProfile
 from repro.simulation import Simulator, make_config_space
 
 
@@ -191,6 +202,18 @@ def _tables(num_streams=3, num_gpus=4, quantum=0.1, seed=0):
     )
 
 
+def _dense_site():
+    """The 150-stream × 24-GPU request of the ``dense_sites`` workload shape."""
+    streams = make_workload("cityscapes", 150, seed=0)
+    spec = EdgeServerSpec(num_gpus=24, delta=0.1, window_duration=200.0)
+    policy = EkyaPolicy(
+        OracleProfileSource(AnalyticDynamics(seed=0), seed=1),
+        make_config_space(),
+        steal_quantum=0.1,
+    )
+    return policy, policy.prepare_request(streams, 0, spec)
+
+
 class TestPrefixColumns:
     """A column is evaluated only as far as it is read, and grows in place."""
 
@@ -244,17 +267,199 @@ class TestPrefixColumns:
             built.extend(tables.values())
             return tables
 
-        streams = make_workload("cityscapes", 150, seed=0)
-        spec = EdgeServerSpec(num_gpus=24, delta=0.1, window_duration=200.0)
-        policy = EkyaPolicy(
-            OracleProfileSource(AnalyticDynamics(seed=0), seed=1),
-            make_config_space(),
-            steal_quantum=0.1,
-        )
-        request = policy.prepare_request(streams, 0, spec)
+        policy, request = _dense_site()
         with mock.patch.object(batched_planner, "build_candidate_tables", recording):
             policy.scheduler.schedule(request)
         written = sum(len(c.accuracy) - 1 for t in built for c in t._columns.values())
         full = sum(t._total_units - units for t in built for units in t._columns)
         assert full > 0
         assert written < 0.1 * full
+
+
+@contextmanager
+def hand_built_columns(columns):
+    """Both sweeps read ``columns[stream][inference_units]`` as the lattice.
+
+    The oracle's tables return the hand-built column where they would run
+    Algorithm 2, counting it as the oracle does; the batched planner's
+    stacked evaluation becomes the same lookup, and it counts the rows it
+    queries itself, as always.  Every config choice is "no retraining".
+    """
+
+    def column(name, units):
+        accuracy = list(columns[name][units])
+        return _Column(0, accuracy, [-1] * len(accuracy))
+
+    def build(streams, **kwargs):
+        tables = build_candidate_tables(streams, **kwargs)
+        for name, table in tables.items():
+
+            def compute(units, table=table, name=name):
+                table.evaluations += 1
+                return column(name, units)
+
+            table._compute_column = compute
+        return tables
+
+    def compute_columns(rows):
+        for table, units, _ in rows:
+            if units not in table._columns:
+                table._columns[units] = column(table.stream_name, units)
+
+    with mock.patch.object(thief, "build_candidate_tables", build), mock.patch.object(
+        batched_planner, "build_candidate_tables", build
+    ), mock.patch.object(batched_planner, "compute_columns_batched", compute_columns):
+        yield
+
+
+def _plain_stream(name):
+    """A stream input whose lattice values come from :func:`hand_built_columns`."""
+    profile = StreamWindowProfile(stream_name=name, window_index=0, start_accuracy=0.5)
+    profile.add(
+        RetrainingEstimate(
+            config=RetrainingConfig(epochs=15), post_retraining_accuracy=0.9, gpu_seconds=30.0
+        )
+    )
+    return StreamWindowInput(
+        stream_name=name,
+        profile=profile,
+        inference_configs=[InferenceConfig(frame_sampling_rate=1.0, gpu_demand=0.25)],
+    )
+
+
+def assert_same_schedule(scalar, batched):
+    """The oracle-equivalence contract, field by field."""
+    assert batched.decisions == scalar.decisions
+    assert batched.iterations == scalar.iterations
+    assert batched.pick_configs_evaluations == scalar.pick_configs_evaluations
+    assert batched.estimated_average_accuracy == scalar.estimated_average_accuracy
+
+
+def improves(base, delta, threshold, num_streams):
+    """The sweep's acceptance test for a victim delta, verbatim."""
+    return (base + delta) / num_streams > threshold
+
+
+def exact_cutoff(base, threshold, num_streams):
+    """The largest victim delta whose steal does not improve, found one ulp
+    at a time from the real-valued cutoff."""
+    delta = threshold * num_streams - base
+    while improves(base, delta, threshold, num_streams):
+        delta = math.nextafter(delta, -math.inf)
+    while not improves(base, math.nextafter(delta, math.inf), threshold, num_streams):
+        delta = math.nextafter(delta, math.inf)
+    return delta
+
+
+def oracle_unit_holding_visits(request, quantum):
+    """(thief, victim) visits of the oracle's sweep whose victim holds units.
+
+    Each visit starts with a one-unit steal, which succeeds exactly when the
+    victim holds a unit; the hand-back of an abandoned tail is the reversed
+    pair and is not a visit.  Needs two or more streams: with one, the
+    second thief's first visit is the reversed pair of the first's last.
+    """
+    visits = 0
+    last = None
+    steal_units = AllocationVector.steal_units
+
+    def counting(vector, thief_id, victim_id, units):
+        nonlocal visits, last
+        moved = steal_units(vector, thief_id, victim_id, units)
+        if (victim_id, thief_id) != last and (thief_id, victim_id) != last:
+            last = (thief_id, victim_id)
+            visits += moved
+        return moved
+
+    with mock.patch.object(AllocationVector, "steal_units", counting):
+        schedule = ThiefScheduler(steal_quantum=quantum).schedule(request)
+    return visits, schedule
+
+
+class TestGuardedSweep:
+    """The guards settle the no-op visits, and only those."""
+
+    def test_victims_at_and_one_ulp_above_the_cutoff_decide_as_the_oracle(self):
+        """Three streams, one unit per job.  Stream 0's inference job steals
+        first; stream 1's inference victim loses exactly the cutoff, stream
+        2's one ulp more than the cutoff allows, so only the second steal
+        improves the objective.  Every other lattice point is 0.0."""
+        names = ("s0", "s1", "s2")
+        start = (0.51, 0.309, 0.3)
+        thief_value = 0.639  # stream 0 after its inference job gains a unit
+        accuracy_sum = sum(start)
+        threshold = accuracy_sum / 3 + IMPROVEMENT_EPS
+        base = accuracy_sum - start[0] + thief_value
+        cutoff = exact_cutoff(base, threshold, 3)
+        above = math.nextafter(cutoff, math.inf)
+        # The real-valued first guess lies above the cutoff, so a guard
+        # that skipped its verification would settle the improving visit.
+        assert improves(base, threshold * 3 - base, threshold, 3)
+        at_cutoff, one_above = start[1] + cutoff, start[2] + above
+        assert at_cutoff - start[1] == cutoff and one_above - start[2] == above
+
+        columns = {name: [[0.0] * (7 - level) for level in range(7)] for name in names}
+        for name, accuracy in zip(names, start):
+            columns[name][1][1] = accuracy
+        columns["s0"][2][1] = thief_value
+        columns["s1"][0][1] = at_cutoff
+        columns["s2"][0][1] = one_above
+        request = ScheduleRequest(
+            window_index=0,
+            window_seconds=200.0,
+            total_gpus=6.0,
+            delta=1.0,
+            a_min=0.0,
+            streams={name: _plain_stream(name) for name in names},
+        )
+        with hand_built_columns(columns):
+            scalar = ThiefScheduler(steal_quantum=1.0).schedule(request)
+            batched = BatchedThiefScheduler(steal_quantum=1.0).schedule(request)
+        assert_same_schedule(scalar, batched)
+        inference = {name: d.inference_gpu for name, d in batched.decisions.items()}
+        assert inference == {"s0": 2.0, "s1": 1.0, "s2": 0.0}
+
+    def test_dense_site_walks_under_five_percent_of_unit_holding_visits(self):
+        """150 streams on 24 GPUs: nearly every visit is settled by one
+        comparison, so a silent return to walking every visit fails here."""
+        policy, request = _dense_site()
+        walks = 0
+        walk = batched_planner._CohortContext.walk
+
+        def counting(context, thief_job, victim_job):
+            nonlocal walks
+            walks += 1
+            return walk(context, thief_job, victim_job)
+
+        with mock.patch.object(batched_planner._CohortContext, "walk", counting):
+            batched = policy.scheduler.schedule(request)
+        visits, scalar = oracle_unit_holding_visits(request, 0.1)
+        assert_same_schedule(scalar, batched)
+        assert 0 < walks < 0.05 * visits
+
+    def test_rows_read_only_by_settled_visits_still_count(self):
+        """Two streams, two units per job.  Both of stream 0's thieves visit
+        stream 1's inference job and are settled, reading stream 1's rows
+        at inference levels 1 and 0; then stream 1's inference job takes
+        every stream-0 unit, so no walk ever reads those two rows.  Only
+        the settled visits can count them as PickConfigs evaluations."""
+        columns = {
+            "s0": [[0.5] * (9 - level) for level in range(9)],
+            "s1": [[0.0] * (9 - level) for level in range(9)],
+        }
+        for level, accuracy in ((2, 0.5), (3, 0.6), (4, 0.7), (5, 0.8), (6, 0.9)):
+            columns["s1"][level][2] = accuracy
+        request = ScheduleRequest(
+            window_index=0,
+            window_seconds=200.0,
+            total_gpus=8.0,
+            delta=1.0,
+            a_min=0.0,
+            streams={name: _plain_stream(name) for name in columns},
+        )
+        with hand_built_columns(columns):
+            scalar = ThiefScheduler(steal_quantum=1.0).schedule(request)
+            batched = BatchedThiefScheduler(steal_quantum=1.0).schedule(request)
+        assert_same_schedule(scalar, batched)
+        inference = {name: d.inference_gpu for name, d in batched.decisions.items()}
+        assert inference == {"s0": 0.0, "s1": 6.0}

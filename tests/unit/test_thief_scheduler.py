@@ -4,9 +4,22 @@ import pytest
 
 from repro.cluster import inference_job_id, retraining_job_id
 from repro.configs import InferenceConfig, RetrainingConfig
-from repro.core import CandidateTable, ScheduleRequest, StreamWindowInput, ThiefScheduler
+from repro.core import (
+    CandidateTable,
+    EkyaPolicy,
+    OracleProfileSource,
+    ScheduleRequest,
+    StreamWindowInput,
+    ThiefScheduler,
+)
+from repro.core.batched_planner import BatchedThiefScheduler
 from repro.exceptions import SchedulingError
-from repro.profiles import RetrainingEstimate, StreamWindowProfile, table1_scenario
+from repro.profiles import (
+    AnalyticDynamics,
+    RetrainingEstimate,
+    StreamWindowProfile,
+    table1_scenario,
+)
 
 
 def _inference_configs():
@@ -160,10 +173,15 @@ class TestThiefScheduler:
             assert retraining_job_id(name) in allocation
 
     def test_invalid_quantum(self):
-        with pytest.raises(SchedulingError):
-            ThiefScheduler(steal_quantum=0.0)
-        with pytest.raises(SchedulingError):
-            ThiefScheduler(max_rounds=0)
+        """Zero, NaN and infinity fail at construction, in both sweeps and
+        the policy that builds them; NaN once died in the first ``fair_start``
+        and infinity was clamped to the request's GPUs."""
+        for quantum in (0.0, float("nan"), float("inf")):
+            for scheduler in (ThiefScheduler, BatchedThiefScheduler):
+                with pytest.raises(SchedulingError, match="steal_quantum"):
+                    scheduler(steal_quantum=quantum)
+            with pytest.raises(SchedulingError, match="steal_quantum"):
+                EkyaPolicy(OracleProfileSource(AnalyticDynamics(seed=0)), steal_quantum=quantum)
 
 
 class TestThiefOnTable1:
