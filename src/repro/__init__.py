@@ -5,11 +5,11 @@ The package is organised around the paper's structure:
 
 * :mod:`repro.datasets` — synthetic drifting video workloads (Cityscapes /
   Waymo / Urban Building / Urban Traffic stand-ins) and golden-model labelling.
-* :mod:`repro.models` — the trainable edge-DNN substrate (numpy MLPs),
-  continual learning with exemplar replay, and checkpointing.
+* :mod:`repro.models` — the trainable edge-DNN substrate (numpy MLPs) and
+  continual learning with exemplar replay.
 * :mod:`repro.configs` — retraining and inference configuration spaces.
-* :mod:`repro.cluster` — GPUs, fractional allocations, placement, jobs and
-  WAN links of the edge server.
+* :mod:`repro.cluster` — GPUs, fractional allocations, placement, job ids
+  and WAN links of the edge server.
 * :mod:`repro.profiles` — resource/accuracy profiles and accuracy dynamics.
 * :mod:`repro.core` — Ekya itself: the thief scheduler, the micro-profiler,
   the per-window controller and every baseline the paper compares against.

@@ -22,7 +22,7 @@ import ast
 import re
 from typing import Dict, List, Optional, Tuple
 
-from .context import FileContext, ProjectContext
+from .context import ProjectContext
 from .findings import Finding
 from .registry import Rule
 

@@ -1,16 +1,8 @@
-"""Edge-server substrate: GPUs, allocations, jobs, placement and WAN links."""
+"""Edge-server substrate: GPUs, allocations, job ids, placement and WAN links."""
 
 from .edge_server import EdgeServer, EdgeServerSpec
 from .gpu import EPSILON, GPU, GPUFleet
-from .jobs import (
-    InferenceJob,
-    Job,
-    JobKind,
-    JobState,
-    RetrainingJob,
-    inference_job_id,
-    retraining_job_id,
-)
+from .jobs import inference_job_id, retraining_job_id
 from .network import (
     CELLULAR_4G,
     CELLULAR_4G_X2,
@@ -20,7 +12,7 @@ from .network import (
     training_data_megabits,
 )
 from .placement import Placement, place_jobs, quantize_allocations
-from .resources import AllocationVector, fair_unit_split, redistribute_released
+from .resources import AllocationVector
 
 __all__ = [
     "EdgeServer",
@@ -28,11 +20,6 @@ __all__ = [
     "EPSILON",
     "GPU",
     "GPUFleet",
-    "InferenceJob",
-    "Job",
-    "JobKind",
-    "JobState",
-    "RetrainingJob",
     "inference_job_id",
     "retraining_job_id",
     "CELLULAR_4G",
@@ -45,6 +32,4 @@ __all__ = [
     "place_jobs",
     "quantize_allocations",
     "AllocationVector",
-    "fair_unit_split",
-    "redistribute_released",
 ]

@@ -10,12 +10,11 @@ duration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..datasets.stream import VideoStream
 from ..exceptions import SchedulingError
 from .gpu import GPUFleet
-from .jobs import InferenceJob, RetrainingJob, inference_job_id, retraining_job_id
 
 
 @dataclass
@@ -27,9 +26,8 @@ class EdgeServerSpec:
     num_gpus:
         Number of provisioned GPUs (the x-axis of Figure 7).
     delta:
-        Smallest granularity of GPU allocation δ (Table 2).
-    steal_quantum:
-        The thief scheduler's stealing increment Δ (Figure 10); defaults to δ.
+        Smallest granularity of GPU allocation δ (Table 2); the policies
+        built for this server also steal in increments Δ = δ (Figure 10).
     min_inference_accuracy:
         a_MIN — inference accuracy below which configurations are rejected.
     window_duration:
@@ -38,7 +36,6 @@ class EdgeServerSpec:
 
     num_gpus: int = 1
     delta: float = 0.1
-    steal_quantum: Optional[float] = None
     min_inference_accuracy: float = 0.4
     window_duration: float = 200.0
 
@@ -47,19 +44,10 @@ class EdgeServerSpec:
             raise SchedulingError("num_gpus must be >= 1")
         if not 0 < self.delta <= self.num_gpus:
             raise SchedulingError("delta must be in (0, num_gpus]")
-        if self.steal_quantum is None:
-            self.steal_quantum = self.delta
-        if self.steal_quantum <= 0:
-            raise SchedulingError("steal_quantum must be positive")
         if not 0.0 <= self.min_inference_accuracy < 1.0:
             raise SchedulingError("min_inference_accuracy must be in [0, 1)")
         if self.window_duration <= 0:
             raise SchedulingError("window_duration must be positive")
-
-    @property
-    def gpu_time_per_window(self) -> float:
-        """Total GPU-time G·∥T∥ available in one retraining window."""
-        return self.num_gpus * self.window_duration
 
 
 class EdgeServer:
@@ -118,23 +106,6 @@ class EdgeServer:
             return self._streams.pop(name)
         except KeyError as exc:
             raise SchedulingError(f"no stream named {name!r} on this server") from exc
-
-    # ------------------------------------------------------------------ jobs
-    def make_jobs(self) -> Dict[str, object]:
-        """Fresh (unconfigured) inference and retraining jobs for one window."""
-        jobs: Dict[str, object] = {}
-        for name in self._streams:
-            jobs[inference_job_id(name)] = InferenceJob(name)
-            jobs[retraining_job_id(name)] = RetrainingJob(name)
-        return jobs
-
-    def all_job_ids(self) -> List[str]:
-        """Job ids in the order the thief scheduler iterates over them."""
-        ids: List[str] = []
-        for name in self._streams:
-            ids.append(inference_job_id(name))
-            ids.append(retraining_job_id(name))
-        return ids
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,7 @@ exceeds the device.  Fractions are multiples of the allocation unit δ.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..exceptions import AllocationError
 
@@ -71,10 +71,6 @@ class GPU:
         else:
             self.reservations[job_id] = float(fraction)
 
-    def release(self, job_id: str) -> float:
-        """Release the reservation of ``job_id``; returns the freed fraction."""
-        return float(self.reservations.pop(job_id, 0.0))
-
     def release_all(self) -> None:
         self.reservations.clear()
 
@@ -85,10 +81,10 @@ class GPU:
 class GPUFleet:
     """The edge server's set of GPUs."""
 
-    def __init__(self, num_gpus: int, *, capacity_per_gpu: float = 1.0) -> None:
+    def __init__(self, num_gpus: int) -> None:
         if num_gpus < 1:
             raise AllocationError("an edge server needs at least one GPU")
-        self._gpus = [GPU(gpu_id=i, capacity=capacity_per_gpu) for i in range(num_gpus)]
+        self._gpus = [GPU(gpu_id=i) for i in range(num_gpus)]
 
     # ------------------------------------------------------------- accessors
     @property
@@ -107,37 +103,15 @@ class GPUFleet:
     def total_allocated(self) -> float:
         return float(sum(gpu.allocated for gpu in self._gpus))
 
-    @property
-    def total_free(self) -> float:
-        return float(sum(gpu.free for gpu in self._gpus))
-
     def gpu(self, gpu_id: int) -> GPU:
         for gpu in self._gpus:
             if gpu.gpu_id == gpu_id:
                 return gpu
         raise AllocationError(f"no GPU with id {gpu_id}")
 
-    def find_job(self, job_id: str) -> Optional[GPU]:
-        """The GPU currently holding a reservation for ``job_id``, if any."""
-        for gpu in self._gpus:
-            if job_id in gpu.reservations:
-                return gpu
-        return None
-
     def release_all(self) -> None:
         for gpu in self._gpus:
             gpu.release_all()
-
-    def fragmentation(self) -> float:
-        """Free capacity that is split across GPUs in unusably small pieces.
-
-        Defined as total free capacity minus the largest single free chunk;
-        zero when all the slack is on one GPU.
-        """
-        if not self._gpus:
-            return 0.0
-        largest_free = max(gpu.free for gpu in self._gpus)
-        return max(0.0, self.total_free - largest_free)
 
     def __repr__(self) -> str:
         return f"GPUFleet(num_gpus={self.num_gpus}, allocated={self.total_allocated:.2f})"

@@ -1,37 +1,13 @@
-"""Inference and retraining jobs.
+"""Canonical job ids for a stream's two jobs.
 
 Every video stream contributes two jobs to the edge server in each retraining
 window: a long-running **inference job** that must keep up with the live video
 and a periodic **retraining job** that consumes a fixed amount of GPU-time
-(§3).  These classes carry the state the scheduler and simulator need: chosen
-configuration, GPU allocation, progress and completion time.
+(§3).  The scheduler, the allocation lattice and placement key each job's GPU
+share by the ids these two helpers build.
 """
 
 from __future__ import annotations
-
-import enum
-from dataclasses import dataclass
-from typing import Optional
-
-from ..configs.inference import InferenceConfig
-from ..configs.retraining import RetrainingConfig
-from ..exceptions import SchedulingError
-
-
-class JobKind(enum.Enum):
-    """Whether a job analyses live video or retrains the model."""
-
-    INFERENCE = "inference"
-    RETRAINING = "retraining"
-
-
-class JobState(enum.Enum):
-    """Lifecycle of a job within one retraining window."""
-
-    PENDING = "pending"
-    RUNNING = "running"
-    COMPLETED = "completed"
-    SKIPPED = "skipped"
 
 
 def inference_job_id(stream_name: str) -> str:
@@ -42,134 +18,3 @@ def inference_job_id(stream_name: str) -> str:
 def retraining_job_id(stream_name: str) -> str:
     """Canonical job id for a stream's retraining job."""
     return f"{stream_name}/retraining"
-
-
-@dataclass
-class Job:
-    """Common state shared by inference and retraining jobs."""
-
-    stream_name: str
-    kind: JobKind
-    gpu_allocation: float = 0.0
-    state: JobState = JobState.PENDING
-
-    @property
-    def job_id(self) -> str:
-        if self.kind is JobKind.INFERENCE:
-            return inference_job_id(self.stream_name)
-        return retraining_job_id(self.stream_name)
-
-    def allocate(self, fraction: float) -> None:
-        if fraction < 0:
-            raise SchedulingError("GPU allocation must be non-negative")
-        self.gpu_allocation = float(fraction)
-
-
-@dataclass
-class InferenceJob(Job):
-    """Analyses the live video of one stream for the whole window."""
-
-    config: Optional[InferenceConfig] = None
-
-    def __init__(
-        self,
-        stream_name: str,
-        *,
-        config: Optional[InferenceConfig] = None,
-        gpu_allocation: float = 0.0,
-    ) -> None:
-        super().__init__(stream_name=stream_name, kind=JobKind.INFERENCE, gpu_allocation=gpu_allocation)
-        self.config = config
-        self.state = JobState.RUNNING
-
-    def effective_accuracy(self, model_accuracy: float) -> float:
-        """Instantaneous inference accuracy given the serving model's accuracy.
-
-        Combines the model's accuracy on the current window's content with the
-        degradation of the chosen inference configuration under the current
-        allocation (frame sampling / resolution / falling behind).
-        """
-        if not 0.0 <= model_accuracy <= 1.0:
-            raise SchedulingError("model_accuracy must be in [0, 1]")
-        if self.config is None:
-            return 0.0
-        return model_accuracy * self.config.effective_accuracy_factor(self.gpu_allocation)
-
-
-@dataclass
-class RetrainingJob(Job):
-    """Retrains one stream's model with a chosen configuration."""
-
-    config: Optional[RetrainingConfig] = None
-    gpu_seconds_required: float = 0.0
-    gpu_seconds_done: float = 0.0
-    completion_time: Optional[float] = None
-    expected_post_accuracy: Optional[float] = None
-
-    def __init__(
-        self,
-        stream_name: str,
-        *,
-        config: Optional[RetrainingConfig] = None,
-        gpu_seconds_required: float = 0.0,
-        gpu_allocation: float = 0.0,
-        expected_post_accuracy: Optional[float] = None,
-    ) -> None:
-        super().__init__(stream_name=stream_name, kind=JobKind.RETRAINING, gpu_allocation=gpu_allocation)
-        if gpu_seconds_required < 0:
-            raise SchedulingError("gpu_seconds_required must be non-negative")
-        self.config = config
-        self.gpu_seconds_required = float(gpu_seconds_required)
-        self.gpu_seconds_done = 0.0
-        self.completion_time = None
-        self.expected_post_accuracy = expected_post_accuracy
-        self.state = JobState.PENDING if config is not None else JobState.SKIPPED
-
-    # -------------------------------------------------------------- progress
-    @property
-    def is_scheduled(self) -> bool:
-        return self.config is not None and self.state is not JobState.SKIPPED
-
-    @property
-    def remaining_gpu_seconds(self) -> float:
-        return max(0.0, self.gpu_seconds_required - self.gpu_seconds_done)
-
-    @property
-    def progress(self) -> float:
-        if self.gpu_seconds_required <= 0:
-            return 1.0
-        return min(1.0, self.gpu_seconds_done / self.gpu_seconds_required)
-
-    def time_to_complete(self, allocation: Optional[float] = None) -> float:
-        """Wall-clock seconds to finish at ``allocation`` (default: current)."""
-        allocation = self.gpu_allocation if allocation is None else allocation
-        if not self.is_scheduled or self.remaining_gpu_seconds == 0:
-            return 0.0
-        if allocation <= 0:
-            return float("inf")
-        return self.remaining_gpu_seconds / allocation
-
-    def advance(self, wall_clock_seconds: float, *, now: Optional[float] = None) -> bool:
-        """Run for ``wall_clock_seconds`` at the current allocation.
-
-        Returns ``True`` when the job completes during this interval.  ``now``
-        (if given) records the completion time as ``now`` plus the time into
-        the interval at which the remaining work finished.
-        """
-        if wall_clock_seconds < 0:
-            raise SchedulingError("wall_clock_seconds must be non-negative")
-        if not self.is_scheduled or self.state is JobState.COMPLETED:
-            return False
-        self.state = JobState.RUNNING
-        work = wall_clock_seconds * self.gpu_allocation
-        previously_remaining = self.remaining_gpu_seconds
-        self.gpu_seconds_done = min(self.gpu_seconds_required, self.gpu_seconds_done + work)
-        if self.remaining_gpu_seconds <= 1e-9:
-            self.state = JobState.COMPLETED
-            if now is not None and self.completion_time is None:
-                if self.gpu_allocation > 0:
-                    self.completion_time = now + previously_remaining / self.gpu_allocation
-                else:
-                    self.completion_time = now
-            return True
-        return False

@@ -55,10 +55,6 @@ class NetworkLink:
             raise ConfigurationError("megabits must be non-negative")
         return megabits / self.downlink_mbps + self.rtt_seconds
 
-    def round_trip_seconds(self, upload_megabits: float, download_megabits: float) -> float:
-        """Upload, (instantaneous cloud work), then download."""
-        return self.upload_seconds(upload_megabits) + self.download_seconds(download_megabits)
-
     def scaled(self, uplink_factor: float = 1.0, downlink_factor: float = 1.0) -> "NetworkLink":
         """A hypothetical link with more (or less) provisioned bandwidth.
 

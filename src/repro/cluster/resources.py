@@ -137,10 +137,6 @@ class AllocationVector:
     def total_allocated(self) -> float:
         return self.allocated_units * self.quantum
 
-    @property
-    def slack(self) -> float:
-        return self.total_gpus - self.total_allocated
-
     # ------------------------------------------------------------ operations
     def set(self, job_id: str, fraction: float) -> None:
         if fraction < -EPSILON:
@@ -206,42 +202,3 @@ class AllocationVector:
             f"{job}={units * self.quantum:.2f}" for job, units in sorted(self._units.items())
         )
         return f"AllocationVector({inner}; total={self.total_gpus})"
-
-
-def fair_unit_split(total_units: int, parts: int) -> List[int]:
-    """Split ``total_units`` whole quanta as evenly as possible over ``parts``.
-
-    Shared by the fair initialisation above and the uniform baselines: the
-    first ``total_units % parts`` parts receive one extra quantum.
-    """
-    if parts <= 0:
-        raise AllocationError("parts must be positive")
-    if total_units < 0:
-        raise AllocationError("total_units must be non-negative")
-    share, remainder = divmod(total_units, parts)
-    return [share + (1 if index < remainder else 0) for index in range(parts)]
-
-
-def redistribute_released(
-    allocation: Mapping[str, float],
-    released_job_id: str,
-    *,
-    total_gpus: float,
-    quantum: float = 0.1,
-) -> AllocationVector:
-    """Redistribute a finished job's share evenly among the remaining jobs.
-
-    Ekya re-runs the thief scheduler when a retraining job completes; this
-    helper provides the simple proportional fallback used by baselines and as
-    the starting point of that re-run.  The freed quanta are handed out one at
-    a time in job order so the result stays on the lattice.
-    """
-    remaining = {job: fraction for job, fraction in allocation.items() if job != released_job_id}
-    vector = AllocationVector(total_gpus=total_gpus, quantum=quantum, allocations=dict(remaining))
-    freed = float(allocation.get(released_job_id, 0.0))
-    if not remaining or freed <= 0:
-        return vector
-    freed_units = int(math.floor(freed / quantum + 1e-9))
-    for job, bonus in zip(remaining, fair_unit_split(freed_units, len(remaining))):
-        vector.set_units(job, vector.units(job) + bonus)
-    return vector

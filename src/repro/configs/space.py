@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import ConfigurationError
-from ..utils.math_utils import is_pareto_dominated, pareto_frontier
+from ..utils.math_utils import is_pareto_dominated
 from .inference import InferenceConfig, default_inference_configs
 from .retraining import RetrainingConfig, default_retraining_grid, validate_unique
 
@@ -98,24 +98,7 @@ class ConfigurationSpace:
             retained = list(self.retraining_configs)
         return ConfigurationSpace(retained, list(self.inference_configs))
 
-    def pareto_retraining_configs(
-        self, observed_profile: Mapping[RetrainingConfig, Tuple[float, float]]
-    ) -> List[RetrainingConfig]:
-        """Retraining configs on the (cost, accuracy) Pareto frontier."""
-        configs = [cfg for cfg in self.retraining_configs if cfg in observed_profile]
-        points = [observed_profile[cfg] for cfg in configs]
-        frontier_indices = pareto_frontier(points)
-        return [configs[i] for i in frontier_indices]
-
     # --------------------------------------------------------------- helpers
-    def cheapest_inference_config(self) -> InferenceConfig:
-        """The inference configuration with the lowest GPU demand."""
-        return min(self.inference_configs, key=lambda cfg: float(cfg.gpu_demand or 0.0))
-
-    def most_accurate_inference_config(self) -> InferenceConfig:
-        """The inference configuration with the highest accuracy factor."""
-        return max(self.inference_configs, key=lambda cfg: cfg.accuracy_factor())
-
     def as_dict(self) -> Dict:
         return {
             "retraining_configs": [cfg.as_dict() for cfg in self.retraining_configs],

@@ -77,15 +77,6 @@ class CloudRetrainingPolicy(ProfiledPolicy):
         return self._link
 
     # ------------------------------------------------------------- interface
-    def transfer_seconds_per_stream(self, window_seconds: float) -> float:
-        """WAN time to ship one stream's training data up and its model down."""
-        upload_mbits = training_data_megabits(
-            stream_bitrate_mbps=self._stream_bitrate,
-            window_seconds=window_seconds,
-            sample_fraction=self._sample_fraction,
-        )
-        return self._link.round_trip_seconds(upload_mbits, self._model_size_mbits)
-
     def model_arrival_times(self, num_streams: int, window_seconds: float) -> list:
         """When each stream's retrained model lands back on the edge.
 

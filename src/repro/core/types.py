@@ -60,11 +60,6 @@ class ScheduleRequest:
     def stream_names(self) -> List[str]:
         return list(self.streams.keys())
 
-    @property
-    def gpu_time_budget(self) -> float:
-        """Total GPU-time G·∥T∥ available in the window."""
-        return self.total_gpus * self.window_seconds
-
 
 @dataclass
 class StreamDecision:

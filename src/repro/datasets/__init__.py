@@ -12,7 +12,7 @@ from .generators import (
     mixed_workload,
 )
 from .labeling import GoldenModel
-from .sampling import class_balanced_sample, holdout_split, uniform_sample
+from .sampling import holdout_split
 from .stream import VideoStream, WindowData
 
 __all__ = [
@@ -30,9 +30,7 @@ __all__ = [
     "make_workload",
     "mixed_workload",
     "GoldenModel",
-    "class_balanced_sample",
     "holdout_split",
-    "uniform_sample",
     "VideoStream",
     "WindowData",
 ]

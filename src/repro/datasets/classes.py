@@ -43,17 +43,6 @@ class ClassTaxonomy:
     def num_classes(self) -> int:
         return len(self._names)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError as exc:
-            raise DatasetError(f"unknown class {name!r}") from exc
-
-    def name_of(self, index: int) -> str:
-        if not 0 <= index < len(self._names):
-            raise DatasetError(f"class index {index} out of range")
-        return self._names[index]
-
     def __len__(self) -> int:
         return self.num_classes
 

@@ -110,26 +110,3 @@ class FeatureSynthesizer:
         noise = rng.normal(0.0, self._spec.within_class_scale, size=(num_samples, self._spec.feature_dim))
         features = centers[labels] + noise
         return features, labels.astype(np.int64)
-
-    def bayes_error_estimate(
-        self,
-        appearance_offsets: Optional[np.ndarray] = None,
-        *,
-        num_samples: int = 2000,
-        rng: Optional[np.random.Generator] = None,
-    ) -> float:
-        """Monte-Carlo estimate of the irreducible error of this window.
-
-        Samples uniformly across classes and classifies with the true
-        nearest-centre rule; the misclassification rate bounds what any model
-        (including the golden model) can achieve on this window.
-        """
-        rng = rng if rng is not None else self._rng
-        uniform = np.full(self._taxonomy.num_classes, 1.0 / self._taxonomy.num_classes)
-        features, labels = self.sample(
-            num_samples, uniform, appearance_offsets=appearance_offsets, rng=rng
-        )
-        centers = self.class_centers(appearance_offsets)
-        distances = np.linalg.norm(features[:, None, :] - centers[None, :, :], axis=2)
-        predictions = np.argmin(distances, axis=1)
-        return float(np.mean(predictions != labels))

@@ -44,7 +44,6 @@ class DatasetSpec:
     window_duration: float = 200.0
     samples_per_window: int = 400
     eval_samples_per_window: int = 300
-    fps: float = 30.0
     feature_spec: FeatureSpaceSpec = FeatureSpaceSpec()
 
     def __post_init__(self) -> None:
@@ -131,7 +130,6 @@ def make_stream(
             else spec.eval_samples_per_window
         ),
         golden_model=golden_model,
-        fps=spec.fps,
         seed=stream_seed,
     )
 

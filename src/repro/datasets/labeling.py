@@ -9,9 +9,7 @@ retraining, and those labels contain a small amount of error.
 In this reproduction the generative ground truth is known, so the
 :class:`GoldenModel` simply corrupts the true labels at a configurable error
 rate — exercising the same student-supervised-by-imperfect-teacher code path
-without a second heavyweight network.  Its cost model (GPU-seconds per
-labelled sample) is used by the cloud-offload comparison and by capacity
-accounting.
+without a second heavyweight network.
 """
 
 from __future__ import annotations
@@ -35,23 +33,17 @@ class GoldenModel:
         Probability that the golden model assigns a wrong (uniformly random
         other) class to a sample.  The paper verifies golden-model labels are
         "very similar to human-annotated labels", so the default is small.
-    gpu_seconds_per_sample:
-        Cost of labelling one sample, used when accounting for the labelling
-        overhead of retraining data preparation.
     seed:
         Seed for the label-corruption randomness (only used when no generator
         is passed to :meth:`label`).
     """
 
     error_rate: float = 0.02
-    gpu_seconds_per_sample: float = 0.05
     seed: SeedLike = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.error_rate < 1.0:
             raise DatasetError("error_rate must be in [0, 1)")
-        if self.gpu_seconds_per_sample < 0:
-            raise DatasetError("gpu_seconds_per_sample must be non-negative")
         self._rng = ensure_rng(self.seed)
 
     def label(
@@ -77,9 +69,3 @@ class GoldenModel:
             offsets = rng.integers(1, num_classes, size=int(flip_mask.sum()))
             labels[flip_mask] = (labels[flip_mask] + offsets) % num_classes
         return labels, float(np.mean(flip_mask))
-
-    def labeling_cost(self, num_samples: int) -> float:
-        """GPU-seconds needed to label ``num_samples`` samples."""
-        if num_samples < 0:
-            raise DatasetError("num_samples must be non-negative")
-        return float(num_samples * self.gpu_seconds_per_sample)

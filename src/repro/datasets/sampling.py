@@ -1,11 +1,10 @@
-"""Training-data sampling strategies.
+"""Train/validation splits for micro-profiling.
 
-The micro-profiler samples a small fraction of the retraining window's data
-(§4.3).  The paper reports that *uniform random* sampling is the most
-indicative of full-data performance because it preserves the data's
-distributions and variations; class-weighted sampling is also provided so the
-claim can be tested (see ``tests/unit/test_sampling.py`` and the ablation in
-``benchmarks/bench_fig11a_microprofiler_error.py``).
+The micro-profiler trains on a small fraction of the retraining window's data
+and measures per-epoch accuracy on a held-out part (§4.3).  The paper reports
+that *uniform random* sampling is the most indicative of full-data
+performance because it preserves the data's distributions and variations, so
+:func:`holdout_split` draws both parts uniformly at random.
 """
 
 from __future__ import annotations
@@ -16,52 +15,6 @@ import numpy as np
 
 from ..exceptions import DatasetError
 from ..utils.rng import SeedLike, ensure_rng
-
-
-def uniform_sample(
-    features: np.ndarray,
-    labels: np.ndarray,
-    fraction: float,
-    *,
-    rng: Optional[np.random.Generator] = None,
-    seed: SeedLike = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Uniform random sample without replacement of a labelled dataset."""
-    _validate(features, labels, fraction)
-    rng = rng if rng is not None else ensure_rng(seed)
-    count = max(1, int(round(fraction * len(labels))))
-    indices = rng.choice(len(labels), size=min(count, len(labels)), replace=False)
-    return features[indices], labels[indices]
-
-
-def class_balanced_sample(
-    features: np.ndarray,
-    labels: np.ndarray,
-    fraction: float,
-    *,
-    rng: Optional[np.random.Generator] = None,
-    seed: SeedLike = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample roughly the same number of items from every present class.
-
-    Included as the alternative the paper considered and rejected for
-    micro-profiling: it distorts the class distribution, so estimates from it
-    are less indicative of full-data retraining accuracy.
-    """
-    _validate(features, labels, fraction)
-    rng = rng if rng is not None else ensure_rng(seed)
-    total = max(1, int(round(fraction * len(labels))))
-    present = np.unique(labels)
-    per_class = max(1, total // len(present))
-    chosen = []
-    for cls in present:
-        cls_indices = np.flatnonzero(labels == cls)
-        take = min(per_class, len(cls_indices))
-        chosen.append(rng.choice(cls_indices, size=take, replace=False))
-    indices = np.concatenate(chosen)
-    rng.shuffle(indices)
-    indices = indices[:total]
-    return features[indices], labels[indices]
 
 
 def holdout_split(

@@ -68,10 +68,6 @@ class WindowData:
     def num_train_samples(self) -> int:
         return int(len(self.train_labels))
 
-    @property
-    def num_eval_samples(self) -> int:
-        return int(len(self.eval_labels))
-
     def subsample_training(
         self, fraction: float, *, rng: Optional[np.random.Generator] = None, seed: SeedLike = None
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -105,21 +101,18 @@ class VideoStream:
         samples_per_window: int = 400,
         eval_samples_per_window: int = 300,
         golden_model: Optional[GoldenModel] = None,
-        fps: float = 30.0,
         seed: SeedLike = None,
     ) -> None:
         if samples_per_window < 4 or eval_samples_per_window < 4:
             raise DatasetError("windows need at least 4 train and eval samples")
-        if window_duration <= 0 or fps <= 0:
-            raise DatasetError("window_duration and fps must be positive")
+        if window_duration <= 0:
+            raise DatasetError("window_duration must be positive")
         self.name = name
         self.taxonomy = taxonomy or ClassTaxonomy(DEFAULT_CLASSES)
         self.window_duration = float(window_duration)
         self.samples_per_window = int(samples_per_window)
         self.eval_samples_per_window = int(eval_samples_per_window)
-        self.fps = float(fps)
         self._seed = stable_seed("stream", name, base=0 if seed is None else int(ensure_rng(seed).integers(0, 2**31 - 1)))
-        base_rng = ensure_rng(self._seed)
         self._distribution_drift = ClassDistributionDrift(
             self.taxonomy, drift_profile, seed=ensure_rng(self._seed + 1)
         )
@@ -130,7 +123,6 @@ class VideoStream:
         self._golden_model = golden_model or GoldenModel(error_rate=0.02, seed=self._seed + 4)
         self._drift_profile = drift_profile
         self._window_cache: Dict[int, WindowData] = {}
-        del base_rng
 
     # --------------------------------------------------------------- windows
     def window(self, window_index: int) -> WindowData:
@@ -189,10 +181,6 @@ class VideoStream:
     @property
     def drift_profile(self) -> DriftProfile:
         return self._drift_profile
-
-    def frames_per_window(self) -> int:
-        """Number of live frames arriving during one retraining window."""
-        return int(round(self.fps * self.window_duration))
 
     def __repr__(self) -> str:
         return (

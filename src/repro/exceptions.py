@@ -43,10 +43,6 @@ class SimulationError(ReproError):
     """The trace-driven simulator hit an inconsistent state."""
 
 
-class CheckpointError(ReproError):
-    """Saving or restoring a model checkpoint failed."""
-
-
 class FleetError(ReproError):
     """The fleet orchestration layer hit an inconsistent state (e.g. a stream
     admitted to an unknown site, or no healthy site left to evacuate to)."""

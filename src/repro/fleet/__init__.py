@@ -70,7 +70,7 @@ Capabilities, opted into explicitly:
 
 * **Per-site windows**: give each :class:`SiteSpec` its own
   ``window_duration`` (or pass a sequence to :func:`make_fleet`), then
-  drive the fleet with ``run_until(t_end)`` / ``run_for(seconds)`` — each
+  drive the fleet with ``run_until(t_end)`` — each
   returned :class:`FleetWindowResult` covers one cycle of sites whose
   windows start at the same ``start_seconds``.
 * **Async control plane**: ``FleetSimulator(..., control_interval=50.0)``

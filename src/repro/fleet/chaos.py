@@ -399,10 +399,3 @@ def run_chaos_trial(
         summary=result.summary(),
         telemetry=plane.memory_report(),
     )
-
-
-def run_chaos_sweep(
-    seeds: Sequence[int], *, intensity: float = 1.0, quick: bool = False
-) -> List[ChaosReport]:
-    """Run one trial per seed; the caller decides what to do with failures."""
-    return [run_chaos_trial(seed, intensity=intensity, quick=quick) for seed in seeds]

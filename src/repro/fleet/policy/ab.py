@@ -154,9 +154,7 @@ class AbComparison:
         )
 
 
-def run_policy_scenario(
-    spec: AbScenario, policy: Union[str, ControlPolicy]
-) -> Dict[str, object]:
+def run_policy_scenario(spec: AbScenario, policy: Union[str, ControlPolicy]) -> Dict[str, object]:
     """Run one scenario under one policy; returns the full summary mapping.
 
     Builds the fleet fresh (same seed, :class:`ManualClock`, profile
@@ -208,9 +206,7 @@ def run_policy_ab(
         predictive = PolicyRun.from_summary(
             _policy_label(candidate), run_policy_scenario(spec, candidate)
         )
-        comparisons.append(
-            AbComparison(scenario=spec.name, greedy=greedy, predictive=predictive)
-        )
+        comparisons.append(AbComparison(scenario=spec.name, greedy=greedy, predictive=predictive))
     return comparisons
 
 

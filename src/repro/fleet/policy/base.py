@@ -91,9 +91,7 @@ class ControlSignals:
     transfer_arrivals: Mapping[str, float] = field(default_factory=dict)
     #: ``site -> stream -> InflightRetraining`` for every site with an open
     #: (planned, not fully settled) window.
-    inflight: Mapping[str, Mapping[str, InflightRetraining]] = field(
-        default_factory=dict
-    )
+    inflight: Mapping[str, Mapping[str, InflightRetraining]] = field(default_factory=dict)
 
     def inflight_at(self, site: str, stream: str) -> Optional[InflightRetraining]:
         return self.inflight.get(site, {}).get(stream)

@@ -57,9 +57,7 @@ class GreedyRebalancePolicy(ControlPolicy):
 
     @staticmethod
     def _load_key(healthy) -> _LoadKey:
-        return tuple(
-            (site.name, site.num_streams, site.effective_gpus) for site in healthy
-        )
+        return tuple((site.name, site.num_streams, site.effective_gpus) for site in healthy)
 
     @staticmethod
     def _worst_served_stream(
@@ -111,9 +109,7 @@ class GreedyRebalancePolicy(ControlPolicy):
             if gap_after < 0:
                 break
             victim = self._worst_served_stream(controller, source, window_index)
-            events.append(
-                controller._migrate(victim, destination, window_index, "overload")
-            )
+            events.append(controller._migrate(victim, destination, window_index, "overload"))
         # Only a provably-idle scan is cacheable: migrations change loads,
         # and any other mutation (admission, failure, flap) changes the key.
         self._idle_key = load_key if not events else None

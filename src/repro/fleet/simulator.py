@@ -61,7 +61,7 @@ it reproduces the shared-window-index engine's
 :class:`~repro.fleet.metrics.FleetResult` bit-identically under a
 :class:`~repro.utils.clock.ManualClock` (see
 ``tests/integration/test_fleet_scenarios.py::TestEngineParity``).
-Heterogeneous fleets use :meth:`run_until` / :meth:`run_for`; each
+Heterogeneous fleets use :meth:`run_until`; each
 :class:`~repro.fleet.metrics.FleetWindowResult` then covers one *cycle* —
 all sites whose windows start at the same instant.
 
@@ -273,8 +273,6 @@ class FleetSimulator:
         #: Highest cycle ordinal already returned to a caller (run_until
         #: returns each cycle exactly once across continuation calls).
         self._last_emitted = -1
-        #: Largest simulated horizon any run has covered (run_for's origin).
-        self._horizon = 0.0
 
     # ------------------------------------------------------------- accessors
     @property
@@ -343,7 +341,6 @@ class FleetSimulator:
             )
         t_end = (window_index + 1) * duration
         self._advance_until(t_end)
-        self._horizon = max(self._horizon, t_end)
         cycle = self._current
         if cycle is None:  # pragma: no cover - a boundary always opens a cycle
             raise FleetError(f"no events fired in window {window_index}")
@@ -379,7 +376,6 @@ class FleetSimulator:
             )
         watch = Stopwatch(self._clock)
         self._advance_until(t_end)
-        self._horizon = max(self._horizon, t_end)
         result = self._new_result()
         result.windows.extend(self._drain_unemitted())
         result.wall_clock_seconds = watch.elapsed()
@@ -411,18 +407,6 @@ class FleetSimulator:
         if windows:
             self._last_emitted = windows[-1].window_index
         return windows
-
-    def run_for(self, seconds: float) -> FleetResult:
-        """Run the calendar ``seconds`` past the horizon already simulated.
-
-        The origin is the largest ``t_end`` a previous run covered — not the
-        last event's timestamp, which can sit well before the horizon (a
-        ``run_until(399)`` on 200 s windows pops nothing after t=200, but
-        the next ``run_for(10)`` must still reach t=409, not t=210).
-        """
-        if not 0 < seconds < math.inf:
-            raise FleetError(f"seconds must be positive and finite, got {seconds}")
-        return self.run_until(self._horizon + seconds)
 
     # ---------------------------------------------------------- event engine
     def _new_result(self) -> FleetResult:

@@ -502,8 +502,6 @@ class AdaptiveStreamSampler:
         self._sketches: Dict[str, _StreamSketch] = {}
         self._last_window = -1
         self._sampled_in_window = 0
-        self._dense_samples = 0
-        self._tail_samples = 0
 
     # ------------------------------------------------------------ observing
     def observe(self, window: int, accuracies: Mapping[str, float]) -> None:
@@ -534,10 +532,8 @@ class AdaptiveStreamSampler:
             if name in movers:
                 sketch.record_point(window, value)
                 self._sampled_in_window += 1
-                self._dense_samples += 1
             elif sketch.tick % self._stride == 0:
                 sketch.record_point(window, value)
-                self._tail_samples += 1
 
     # -------------------------------------------------------------- reading
     @property
@@ -548,14 +544,6 @@ class AdaptiveStreamSampler:
     def sampled_streams(self) -> int:
         """Streams densely sampled (as movers) in the latest window."""
         return self._sampled_in_window
-
-    @property
-    def dense_samples(self) -> int:
-        return self._dense_samples
-
-    @property
-    def tail_samples(self) -> int:
-        return self._tail_samples
 
     @property
     def nbytes(self) -> int:
@@ -917,12 +905,6 @@ class TelemetryPlane:
     # ------------------------------------------------------ stream sampling
     def observe_streams(self, window: int, accuracies: Mapping[str, float]) -> None:
         self._sampler.observe(window, accuracies)
-
-    def stream_summary(self, name: str) -> Dict[str, float]:
-        return self._sampler.summary_of(name)
-
-    def stream_series(self, name: str) -> List[Tuple[int, float]]:
-        return self._sampler.series_of(name)
 
     # -------------------------------------------------------------- results
     def annotate(self, result) -> None:

@@ -1,6 +1,5 @@
 """Trainable edge-DNN substrate (numpy MLP, trainer, continual learning)."""
 
-from .checkpoint import Checkpoint, CheckpointManager
 from .continual import ExemplarReplayLearner, ExemplarSet
 from .edge_model import (
     EDGE_MODEL_SIZE_MBITS,
@@ -15,8 +14,6 @@ from .mlp import MLPClassifier
 from .trainer import Trainer, TrainingResult
 
 __all__ = [
-    "Checkpoint",
-    "CheckpointManager",
     "ExemplarReplayLearner",
     "ExemplarSet",
     "EDGE_MODEL_SIZE_MBITS",

@@ -14,7 +14,7 @@ exemplars into every retraining call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -67,14 +67,6 @@ class ExemplarSet:
             features.append(class_features)
             labels.append(np.full(len(class_features), cls, dtype=np.int64))
         return np.vstack(features), np.concatenate(labels)
-
-    @property
-    def num_exemplars(self) -> int:
-        return int(sum(len(v) for v in self.features_by_class.values()))
-
-    @property
-    def known_classes(self) -> List[int]:
-        return sorted(self.features_by_class.keys())
 
 
 class ExemplarReplayLearner:

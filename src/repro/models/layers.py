@@ -58,10 +58,6 @@ class DenseLayer:
     def out_features(self) -> int:
         return int(self.weights.shape[1])
 
-    @property
-    def num_parameters(self) -> int:
-        return int(self.weights.size + self.bias.size)
-
     # -------------------------------------------------------------- forward
     def forward(self, inputs: np.ndarray, *, training: bool = False) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=float)

@@ -68,12 +68,6 @@ class MLPClassifier:
             layer.frozen = index < frozen_count
         return trainable
 
-    def trainable_parameter_fraction(self) -> float:
-        """Fraction of parameters currently unfrozen (cost-model input)."""
-        total = sum(layer.num_parameters for layer in self.layers)
-        trainable = sum(layer.num_parameters for layer in self.layers if not layer.frozen)
-        return trainable / total if total else 0.0
-
     # --------------------------------------------------------------- forward
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Class probabilities for a batch of feature vectors."""
@@ -135,26 +129,9 @@ class MLPClassifier:
                 grad = layer.backward(grad, self.learning_rate)
         return float(np.mean(losses))
 
-    def fit(
-        self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        *,
-        epochs: int = 10,
-        batch_size: int = 16,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List[float]:
-        """Train for several epochs; returns the per-epoch mean losses."""
-        if epochs < 1:
-            raise ModelError("epochs must be >= 1")
-        return [
-            self.train_epoch(features, labels, batch_size=batch_size, rng=rng)
-            for _ in range(epochs)
-        ]
-
     # ------------------------------------------------------------ state copy
     def get_state(self) -> List:
-        """Snapshot of all layer weights (used by checkpointing)."""
+        """Snapshot of all layer weights (used by :meth:`clone`)."""
         return [layer.get_state() for layer in self.layers]
 
     def set_state(self, state: List) -> None:

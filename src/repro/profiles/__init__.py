@@ -8,7 +8,7 @@ from .dynamics import (
     config_quality,
 )
 from .fleet_store import FleetProfileStore, regime_key, stream_profile_key
-from .profile import RetrainingEstimate, StreamWindowProfile, merge_profiles
+from .profile import RetrainingEstimate, StreamWindowProfile
 from .store import ProfileStore
 from .table1 import (
     TABLE1_A_MIN,
@@ -29,7 +29,6 @@ __all__ = [
     "config_quality",
     "RetrainingEstimate",
     "StreamWindowProfile",
-    "merge_profiles",
     "ProfileStore",
     "FleetProfileStore",
     "regime_key",

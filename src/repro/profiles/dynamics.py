@@ -16,8 +16,8 @@ Two implementations are provided:
   instead of training real DNNs (§6.1), and is what the large benchmark
   sweeps use.
 * :class:`SubstrateDynamics` — actually trains the numpy edge models on the
-  synthetic window data (the "testbed" mode).  Slower, used by integration
-  tests, the micro-profiler evaluation and the quickstart examples.
+  synthetic window data (the "testbed" mode).  Slower; the paper-claim test
+  ``tests/integration/test_end_to_end.py`` runs the testbed through it.
 
 Both share the same interface so every scheduler/baseline runs unchanged on
 either substrate.
@@ -111,6 +111,19 @@ class StreamDynamics(abc.ABC):
         """
 
 
+#: Accuracy a deployed model loses per unit of drift magnitude since the
+#: window it was trained on.
+DRIFT_SENSITIVITY = 0.16
+#: No model's accuracy falls below this, however stale it is.
+ACCURACY_FLOOR = 0.25
+#: Mean and half-width of each window's accuracy ceiling, the best accuracy
+#: any retraining can reach on that window's content.
+CEILING_BASE = 0.92
+CEILING_SPREAD = 0.05
+#: The model deployed at the start was trained this many windows earlier.
+INITIAL_STALENESS_WINDOWS = 3
+
+
 def _check_window(window_index: int) -> None:
     if window_index < 0:
         raise SimulationError(f"window_index must be non-negative, got {window_index}")
@@ -119,25 +132,7 @@ def _check_window(window_index: int) -> None:
 class AnalyticDynamics(StreamDynamics):
     """Deterministic drift-driven accuracy model (the simulator's 'trace')."""
 
-    def __init__(
-        self,
-        *,
-        drift_sensitivity: float = 0.16,
-        accuracy_floor: float = 0.25,
-        ceiling_base: float = 0.92,
-        ceiling_spread: float = 0.05,
-        initial_staleness_windows: int = 3,
-        seed: int = 0,
-    ) -> None:
-        if drift_sensitivity < 0:
-            raise SimulationError("drift_sensitivity must be non-negative")
-        if not 0.0 <= accuracy_floor < ceiling_base <= 1.0:
-            raise SimulationError("need 0 <= accuracy_floor < ceiling_base <= 1")
-        self._drift_sensitivity = drift_sensitivity
-        self._accuracy_floor = accuracy_floor
-        self._ceiling_base = ceiling_base
-        self._ceiling_spread = ceiling_spread
-        self._initial_staleness = initial_staleness_windows
+    def __init__(self, *, seed: int = 0) -> None:
         self._seed = seed
         self._states: Dict[str, StreamState] = {}
         # Per-stream memo of ``_ceiling`` and ``start_accuracy`` values keyed
@@ -160,22 +155,23 @@ class AnalyticDynamics(StreamDynamics):
         ceiling = memo.get(key)
         if ceiling is None:
             rng = ensure_rng(stable_seed("ceiling", stream.name, window_index, base=self._seed))
-            wobble = rng.uniform(-self._ceiling_spread, self._ceiling_spread)
+            wobble = rng.uniform(-CEILING_SPREAD, CEILING_SPREAD)
             golden_noise = stream.golden_model.error_rate
-            ceiling = memo[key] = clamp(self._ceiling_base + wobble - golden_noise, 0.3, 0.99)
+            ceiling = memo[key] = clamp(CEILING_BASE + wobble - golden_noise, 0.3, 0.99)
         return ceiling
 
     def _state(self, stream: VideoStream) -> StreamState:
         state = self._states.get(stream.name)
         if state is None:
             # The deployed model was trained before the experiment started
-            # (window -initial_staleness), so it begins already somewhat stale.
+            # (window -INITIAL_STALENESS_WINDOWS), so it begins already somewhat
+            # stale.
             rng = ensure_rng(stable_seed("initial", stream.name, base=self._seed))
             initial_accuracy = clamp(
-                self._ceiling(stream, 0) - rng.uniform(0.02, 0.10), self._accuracy_floor, 1.0
+                self._ceiling(stream, 0) - rng.uniform(0.02, 0.10), ACCURACY_FLOOR, 1.0
             )
             state = StreamState(
-                trained_on_window=-self._initial_staleness,
+                trained_on_window=-INITIAL_STALENESS_WINDOWS,
                 accuracy_when_trained=initial_accuracy,
             )
             self._states[stream.name] = state
@@ -189,8 +185,8 @@ class AnalyticDynamics(StreamDynamics):
         # a fixed extra staleness for the unobserved pre-experiment drift.
         pre_experiment_drift = 0.1 * max(0, -trained_on)
         drift = stream.drift_magnitude(reference, current) + pre_experiment_drift
-        decayed = accuracy - self._drift_sensitivity * drift
-        return clamp(decayed, self._accuracy_floor, 1.0)
+        decayed = accuracy - DRIFT_SENSITIVITY * drift
+        return clamp(decayed, ACCURACY_FLOOR, 1.0)
 
     # ------------------------------------------------------------- interface
     def start_accuracy(self, stream: VideoStream, window_index: int) -> float:
@@ -218,7 +214,7 @@ class AnalyticDynamics(StreamDynamics):
         # already is on this window's content.
         warm_start_floor = self.start_accuracy(stream, window_index) - 0.02
         accuracy = max(accuracy, warm_start_floor)
-        return clamp(accuracy, self._accuracy_floor, ceiling)
+        return clamp(accuracy, ACCURACY_FLOOR, ceiling)
 
     def retraining_gpu_seconds(
         self, stream: VideoStream, window_index: int, config: RetrainingConfig

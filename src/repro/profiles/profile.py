@@ -12,12 +12,11 @@ analytically for the trace-driven simulator — are carried by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..configs.retraining import RetrainingConfig
 from ..exceptions import ProfilingError
 from ..utils.curves import SaturatingCurve
-from ..utils.math_utils import pareto_frontier
 
 
 @dataclass(frozen=True)
@@ -102,60 +101,3 @@ class StreamWindowProfile:
         if not self.estimates:
             return self.start_accuracy
         return max(est.post_retraining_accuracy for est in self.estimates.values())
-
-    def max_accuracy_gain(self) -> float:
-        """How much this stream can gain from retraining in this window."""
-        return max(0.0, self.best_accuracy() - self.start_accuracy)
-
-    def resource_accuracy_points(self) -> List[Tuple[float, float]]:
-        """(gpu_seconds, accuracy) pairs for all configurations (Figure 3b)."""
-        return [
-            (est.gpu_seconds, est.post_retraining_accuracy) for est in self.estimates.values()
-        ]
-
-    def pareto_configs(self) -> List[RetrainingConfig]:
-        """Configurations on the cost/accuracy Pareto frontier."""
-        configs = self.configs
-        points = self.resource_accuracy_points()
-        return [configs[i] for i in pareto_frontier(points)]
-
-    def observed_cost_accuracy(self) -> Dict[RetrainingConfig, Tuple[float, float]]:
-        """Mapping used by :meth:`ConfigurationSpace.pruned`."""
-        return {
-            config: (est.gpu_seconds, est.post_retraining_accuracy)
-            for config, est in self.estimates.items()
-        }
-
-    def with_noise(self, errors: Dict[RetrainingConfig, float]) -> "StreamWindowProfile":
-        """Copy of this profile with per-config additive accuracy errors.
-
-        Used by the Figure 11b robustness experiment, which injects controlled
-        Gaussian error into the micro-profiler's predictions.
-        """
-        noisy = StreamWindowProfile(
-            stream_name=self.stream_name,
-            window_index=self.window_index,
-            start_accuracy=self.start_accuracy,
-            profiling_gpu_seconds=self.profiling_gpu_seconds,
-        )
-        for config, estimate in self.estimates.items():
-            error = errors.get(config, 0.0)
-            accuracy = min(1.0, max(0.0, estimate.post_retraining_accuracy + error))
-            noisy.estimates[config] = RetrainingEstimate(
-                config=config,
-                post_retraining_accuracy=accuracy,
-                gpu_seconds=estimate.gpu_seconds,
-                curve=estimate.curve,
-                profiling_gpu_seconds=estimate.profiling_gpu_seconds,
-            )
-        return noisy
-
-
-def merge_profiles(profiles: Iterable[StreamWindowProfile]) -> Dict[str, StreamWindowProfile]:
-    """Index a collection of profiles by stream name (one window at a time)."""
-    merged: Dict[str, StreamWindowProfile] = {}
-    for profile in profiles:
-        if profile.stream_name in merged:
-            raise ProfilingError(f"duplicate profile for stream {profile.stream_name!r}")
-        merged[profile.stream_name] = profile
-    return merged

@@ -80,10 +80,6 @@ class ProfileStore:
             if count > 0
         }
 
-    def class_distribution_index(self) -> Dict[Tuple[str, int], StreamWindowProfile]:
-        """All stored profiles (used by the cached-model-reuse baseline)."""
-        return dict(self._profiles)
-
     # --------------------------------------------------------------- export
     def as_dict(self) -> Dict:
         payload = {}

@@ -18,13 +18,10 @@ from .experiments import (
 from .metrics import (
     DEFAULT_CAPACITY_THRESHOLD,
     AccuracyComparison,
-    accuracy_violations,
     capacity,
     compare_to_baselines,
     gpus_needed_for_accuracy,
     mean_accuracy,
-    resource_saving_factor,
-    retraining_fraction,
     scaling_factor,
 )
 from .simulator import SimulationResult, Simulator, StreamWindowOutcome, WindowResult
@@ -45,13 +42,10 @@ __all__ = [
     "run_experiment",
     "DEFAULT_CAPACITY_THRESHOLD",
     "AccuracyComparison",
-    "accuracy_violations",
     "capacity",
     "compare_to_baselines",
     "gpus_needed_for_accuracy",
     "mean_accuracy",
-    "resource_saving_factor",
-    "retraining_fraction",
     "scaling_factor",
     "SimulationResult",
     "Simulator",

@@ -9,7 +9,7 @@ subject to an accuracy threshold), plus the scaling factor of Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
 from ..exceptions import SimulationError
 from ..utils.math_utils import safe_mean
@@ -80,22 +80,6 @@ def gpus_needed_for_accuracy(
     return min(feasible) if feasible else None
 
 
-def resource_saving_factor(
-    ekya_accuracy_by_gpus: Mapping[int, float],
-    baseline_accuracy_by_gpus: Mapping[int, float],
-    *,
-    ekya_gpus: int,
-) -> Optional[float]:
-    """GPU multiple the baseline needs to match Ekya's accuracy at ``ekya_gpus``."""
-    if ekya_gpus not in ekya_accuracy_by_gpus:
-        raise SimulationError(f"no Ekya result for {ekya_gpus} GPUs")
-    target = ekya_accuracy_by_gpus[ekya_gpus]
-    needed = gpus_needed_for_accuracy(baseline_accuracy_by_gpus, target)
-    if needed is None:
-        return None
-    return needed / ekya_gpus
-
-
 @dataclass(frozen=True)
 class AccuracyComparison:
     """Ekya-vs-best-baseline comparison at one operating point."""
@@ -127,23 +111,3 @@ def compare_to_baselines(
         best_baseline_accuracy=baseline_accuracies[best_name],
         best_baseline_name=best_name,
     )
-
-
-def accuracy_violations(
-    result: SimulationResult, *, a_min: float
-) -> List[Tuple[str, int, float]]:
-    """(stream, window, accuracy) triples where instantaneous accuracy < a_min."""
-    violations = []
-    for window in result.windows:
-        for name, outcome in window.outcomes.items():
-            if outcome.minimum_instantaneous_accuracy + 1e-9 < a_min:
-                violations.append((name, window.window_index, outcome.minimum_instantaneous_accuracy))
-    return violations
-
-
-def retraining_fraction(result: SimulationResult) -> float:
-    """Fraction of (stream, window) slots in which retraining completed."""
-    total = sum(len(window.outcomes) for window in result.windows)
-    if total == 0:
-        return 0.0
-    return result.total_retrainings / total

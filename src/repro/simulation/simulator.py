@@ -196,11 +196,6 @@ class SimulationResult:
         return safe_mean([w.allocation_loss for w in self.windows])
 
     @property
-    def total_allocation_loss(self) -> float:
-        """Total GPU fraction lost to placement quantisation over the run."""
-        return float(sum(w.allocation_loss for w in self.windows))
-
-    @property
     def total_retrainings(self) -> int:
         return sum(w.num_retrained for w in self.windows)
 

@@ -4,24 +4,19 @@ from .clock import SYSTEM_CLOCK, Clock, ManualClock, Stopwatch, SystemClock
 from .curves import (
     SaturatingCurve,
     fit_accuracy_curve,
-    predict_final_accuracy,
     scale_for_data_fraction,
 )
 from .math_utils import (
     clamp,
     euclidean_distance,
-    floor_to_multiple,
     is_pareto_dominated,
-    normalize_distribution,
     pareto_frontier,
     quantize_to_inverse_power_of_two,
-    round_to_multiple,
     safe_mean,
     time_weighted_average,
-    weighted_mean,
 )
-from .rng import ensure_rng, spawn_rng, stable_seed
-from .serialization import dump_json, load_json, to_jsonable
+from .rng import ensure_rng, stable_seed
+from .serialization import to_jsonable
 
 __all__ = [
     "SYSTEM_CLOCK",
@@ -31,23 +26,15 @@ __all__ = [
     "SystemClock",
     "SaturatingCurve",
     "fit_accuracy_curve",
-    "predict_final_accuracy",
     "scale_for_data_fraction",
     "clamp",
     "euclidean_distance",
-    "floor_to_multiple",
     "is_pareto_dominated",
-    "normalize_distribution",
     "pareto_frontier",
     "quantize_to_inverse_power_of_two",
-    "round_to_multiple",
     "safe_mean",
     "time_weighted_average",
-    "weighted_mean",
     "ensure_rng",
-    "spawn_rng",
     "stable_seed",
-    "dump_json",
-    "load_json",
     "to_jsonable",
 ]

@@ -75,8 +75,5 @@ class Stopwatch:
         self._start = self._clock.now()
 
     def elapsed(self) -> float:
-        """Seconds since construction (or the last :meth:`restart`)."""
+        """Seconds since construction."""
         return self._clock.now() - self._start
-
-    def restart(self) -> None:
-        self._start = self._clock.now()

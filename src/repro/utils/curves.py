@@ -53,14 +53,6 @@ class SaturatingCurve:
             return 0.0
         return clamp(self.a_max - 1.0 / denom)
 
-    def epochs_to_reach(self, accuracy: float) -> float:
-        """Epochs needed to reach ``accuracy``; ``inf`` if unreachable."""
-        if accuracy >= self.a_max or self.k1 <= 0:
-            return float("inf")
-        denom = self.a_max - accuracy
-        needed = (1.0 / denom - self.k0) / self.k1
-        return max(0.0, float(needed))
-
     def as_dict(self) -> dict:
         return {"a_max": self.a_max, "k0": self.k0, "k1": self.k1}
 
@@ -163,27 +155,3 @@ def scale_for_data_fraction(
     # unique samples but the optimisation problem is harder).
     slowdown = 1.0 / (1.0 + 0.15 * max(np.log2(max(ratio, 1e-9)), 0.0))
     return SaturatingCurve(a_max=new_a_max, k0=curve.k0, k1=curve.k1 * slowdown)
-
-
-def predict_final_accuracy(
-    epochs_observed: Sequence[float],
-    accuracies_observed: Sequence[float],
-    *,
-    target_epochs: float,
-    profiled_fraction: float = 1.0,
-    target_fraction: float = 1.0,
-) -> float:
-    """Convenience wrapper: fit, rescale for data size, and evaluate.
-
-    This is the single call used by the micro-profiler to turn a handful of
-    early-epoch observations into an estimate of the post-retraining accuracy
-    for a given configuration.
-    """
-    curve = fit_accuracy_curve(epochs_observed, accuracies_observed)
-    if profiled_fraction != target_fraction:
-        curve = scale_for_data_fraction(
-            curve,
-            profiled_fraction=profiled_fraction,
-            target_fraction=target_fraction,
-        )
-    return curve.accuracy_at(target_epochs)

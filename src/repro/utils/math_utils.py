@@ -29,18 +29,6 @@ def safe_mean(values: Sequence[float], default: float = 0.0) -> float:
     return float(np.mean(values))
 
 
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted mean; raises on mismatched lengths or non-positive weight sum."""
-    values = np.asarray(list(values), dtype=float)
-    weights = np.asarray(list(weights), dtype=float)
-    if values.shape != weights.shape:
-        raise ValueError("values and weights must have the same length")
-    total = float(weights.sum())
-    if total <= 0:
-        raise ValueError("sum of weights must be positive")
-    return float(np.dot(values, weights) / total)
-
-
 def time_weighted_average(
     segments: Sequence[Tuple[float, float]],
 ) -> float:
@@ -118,20 +106,6 @@ def is_pareto_dominated(
     return False
 
 
-def normalize_distribution(weights: Sequence[float]) -> np.ndarray:
-    """Normalise non-negative weights into a probability distribution."""
-    arr = np.asarray(list(weights), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot normalise an empty distribution")
-    if np.any(arr < 0):
-        raise ValueError("weights must be non-negative")
-    total = arr.sum()
-    if total <= 0:
-        # Degenerate input: fall back to uniform.
-        return np.full(arr.shape, 1.0 / arr.size)
-    return arr / total
-
-
 def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Euclidean distance between two equal-length vectors.
 
@@ -143,20 +117,6 @@ def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
     if va.shape != vb.shape:
         raise ValueError("vectors must have the same length")
     return float(np.linalg.norm(va - vb))
-
-
-def round_to_multiple(value: float, quantum: float) -> float:
-    """Round ``value`` to the nearest multiple of ``quantum`` (> 0)."""
-    if quantum <= 0:
-        raise ValueError("quantum must be positive")
-    return round(value / quantum) * quantum
-
-
-def floor_to_multiple(value: float, quantum: float) -> float:
-    """Round ``value`` down to a multiple of ``quantum`` (> 0)."""
-    if quantum <= 0:
-        raise ValueError("quantum must be positive")
-    return float(np.floor(value / quantum + 1e-9) * quantum)
 
 
 def quantize_to_inverse_power_of_two(fraction: float, *, min_fraction: float = 1.0 / 16.0) -> float:

@@ -29,18 +29,6 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rng(rng: np.random.Generator, *, jump: int = 1) -> np.random.Generator:
-    """Derive an independent child generator from ``rng``.
-
-    Used by workload generators to give each camera stream its own stream of
-    randomness so that adding a stream does not perturb the others.
-    """
-    if jump < 1:
-        raise ValueError("jump must be >= 1")
-    seeds = rng.integers(0, 2**63 - 1, size=jump)
-    return np.random.default_rng(int(seeds[-1]))
-
-
 def stable_seed(*parts: object, base: int = 0) -> int:
     """Derive a stable 63-bit seed from arbitrary hashable parts.
 

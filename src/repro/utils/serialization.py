@@ -4,19 +4,16 @@ Profiles, traces and experiment results are exchanged between the testbed
 substrate (``repro.models``) and the trace-driven simulator
 (``repro.simulation``) as plain dictionaries, mirroring how the paper logs
 training-accuracy progressions from its testbed and replays them in its
-simulator.  These helpers keep that round-trip loss-free for numpy types.
+simulator.  :func:`to_jsonable` keeps that round-trip loss-free for numpy
+types.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
-from typing import Any, Mapping, Union
+from typing import Any, Mapping
 
 import numpy as np
-
-PathLike = Union[str, Path]
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -43,19 +40,3 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (list, tuple, set, frozenset)):
         return [to_jsonable(item) for item in obj]
     raise TypeError(f"cannot serialise object of type {type(obj)!r}")
-
-
-def dump_json(obj: Any, path: PathLike, *, indent: int = 2) -> Path:
-    """Serialise ``obj`` to JSON at ``path``; returns the written path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(to_jsonable(obj), handle, indent=indent, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_json(path: PathLike) -> Any:
-    """Load a JSON document previously written by :func:`dump_json`."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return json.load(handle)

@@ -18,7 +18,6 @@ from repro.fleet import (
 from repro.fleet.calendar import EventCalendar
 from repro.fleet.chaos import (
     ChaosInjector,
-    run_chaos_sweep,
     run_chaos_trial,
 )
 from repro.utils.clock import ManualClock
@@ -29,7 +28,7 @@ SWEEP_SEEDS = range(20)
 
 class TestChaosSweep:
     def test_invariants_hold_across_the_seed_sweep(self):
-        reports = run_chaos_sweep(SWEEP_SEEDS, quick=True)
+        reports = [run_chaos_trial(seed, quick=True) for seed in SWEEP_SEEDS]
         broken = [(r.seed, r.violations) for r in reports if not r.ok]
         assert not broken, f"invariant violations: {broken}"
         # The sweep must actually exercise the fault paths, not skate by

@@ -468,22 +468,13 @@ class TestHeterogeneousWindows:
             stream = site.server.stream(event.stream_name)
             assert stream.window_duration == site.spec.window_duration
 
-    def test_run_for_continues_the_timeline(self):
+    def test_run_until_continues_timeline(self):
         simulator = self._simulator()
         first = simulator.run_until(300.0)
-        second = simulator.run_for(300.0)
+        second = simulator.run_until(600.0)
         assert [w.start_seconds for w in first.windows] == [0.0, 150.0, 200.0]
         assert [w.start_seconds for w in second.windows] == [300.0, 400.0, 450.0]
         assert [w.window_index for w in second.windows] == [3, 4, 5]
-
-    def test_run_for_anchors_to_the_simulated_horizon_not_the_last_event(self):
-        """Regression: run_until(399) pops nothing after t=300, but a
-        following run_for(10) must still reach t=409 and fire the t=400
-        boundary — anchoring to the last event time skipped due windows."""
-        simulator = self._simulator()
-        simulator.run_until(399.0)
-        follow_up = simulator.run_for(10.0)
-        assert [w.start_seconds for w in follow_up.windows] == [400.0]
 
     def test_empty_cycles_do_not_drag_the_fleet_mean_to_zero(self):
         """Regression: cycles covering only a failed site served nothing and

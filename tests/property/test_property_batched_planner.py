@@ -368,7 +368,7 @@ class TestRandomizedFleets:
                 window_duration=(100.0, 200.0, 100.0),
                 seed=11,
             )
-            result = FleetSimulator(controller).run_for(600.0)
+            result = FleetSimulator(controller).run_until(600.0)
             summaries[planner] = result.summary()
         for field in FLEET_PARITY_FIELDS:
             assert summaries["batched"][field] == summaries["oracle"][field]

@@ -1,6 +1,5 @@
 """Property-based tests for the numeric helpers and accuracy curves."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,11 +7,9 @@ from repro.utils.curves import SaturatingCurve, fit_accuracy_curve, scale_for_da
 from repro.utils.math_utils import (
     clamp,
     is_pareto_dominated,
-    normalize_distribution,
     pareto_frontier,
     quantize_to_inverse_power_of_two,
     time_weighted_average,
-    weighted_mean,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -36,11 +33,6 @@ class TestAverages:
         average = time_weighted_average(segments)
         values = [value for _, value in segments]
         assert min(values) - 1e-9 <= average <= max(values) + 1e-9
-
-    @given(st.lists(unit_floats, min_size=1, max_size=20))
-    def test_weighted_mean_with_equal_weights_is_mean(self, values):
-        result = weighted_mean(values, [1.0] * len(values))
-        assert abs(result - float(np.mean(values))) < 1e-9
 
 
 class TestParetoProperties:
@@ -68,14 +60,6 @@ class TestParetoProperties:
             assert any(
                 fp[0] <= point[0] + 1e-12 and fp[1] >= point[1] - 1e-12 for fp in frontier_points
             )
-
-
-class TestDistributions:
-    @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=10))
-    def test_normalised_distribution_sums_to_one(self, weights):
-        result = normalize_distribution(weights)
-        assert abs(result.sum() - 1.0) < 1e-9
-        assert np.all(result >= 0)
 
 
 class TestQuantisation:

@@ -16,8 +16,6 @@ import re
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import default_rules, run_analysis
 from repro.analysis.context import FileContext, ImportMap, parse_suppressions
 from repro.analysis.findings import SEVERITY_WARNING

@@ -161,13 +161,6 @@ class TestConfigurationSpace:
         with pytest.raises(ConfigurationError):
             ConfigurationSpace(inference_configs=[])
 
-    def test_cheapest_and_most_accurate_inference(self):
-        space = ConfigurationSpace.small()
-        cheapest = space.cheapest_inference_config()
-        best = space.most_accurate_inference_config()
-        assert cheapest.gpu_demand <= best.gpu_demand
-        assert best.accuracy_factor() >= cheapest.accuracy_factor()
-
     def test_pruning_removes_dominated_configs(self):
         space = ConfigurationSpace.small()
         configs = space.retraining_configs
@@ -197,16 +190,6 @@ class TestConfigurationSpace:
         observed = {space.retraining_configs[0]: (1.0, 0.8)}
         pruned = space.pruned(observed)
         assert len(pruned.retraining_configs) == len(space.retraining_configs)
-
-    def test_pareto_configs_subset(self):
-        space = ConfigurationSpace.small()
-        observed = {
-            cfg: (cfg.relative_cost(), min(0.95, 0.5 + 0.02 * cfg.epochs))
-            for cfg in space.retraining_configs
-        }
-        pareto = space.pareto_retraining_configs(observed)
-        assert pareto
-        assert set(pareto) <= set(space.retraining_configs)
 
     def test_dict_roundtrip(self):
         space = ConfigurationSpace.small()

@@ -7,7 +7,6 @@ from repro.exceptions import ProfilingError
 from repro.utils.curves import (
     SaturatingCurve,
     fit_accuracy_curve,
-    predict_final_accuracy,
     scale_for_data_fraction,
 )
 
@@ -30,15 +29,6 @@ class TestSaturatingCurve:
         curve = SaturatingCurve(a_max=0.9, k0=1.0, k1=1.0)
         with pytest.raises(ValueError):
             curve.accuracy_at(-1)
-
-    def test_epochs_to_reach_inverse_of_accuracy_at(self):
-        curve = SaturatingCurve(a_max=0.9, k0=1.5, k1=0.8)
-        target = curve.accuracy_at(12.0)
-        assert curve.epochs_to_reach(target) == pytest.approx(12.0, abs=1e-6)
-
-    def test_epochs_to_reach_unreachable(self):
-        curve = SaturatingCurve(a_max=0.8, k0=1.0, k1=1.0)
-        assert curve.epochs_to_reach(0.95) == float("inf")
 
     def test_dict_roundtrip(self):
         curve = SaturatingCurve(a_max=0.88, k0=1.2, k1=0.4)
@@ -111,22 +101,3 @@ class TestScaleForDataFraction:
         curve = SaturatingCurve(a_max=0.8, k0=1.0, k1=1.0)
         with pytest.raises(ValueError):
             scale_for_data_fraction(curve, profiled_fraction=0.0, target_fraction=1.0)
-
-
-class TestPredictFinalAccuracy:
-    def test_prediction_in_unit_interval(self):
-        prediction = predict_final_accuracy(
-            [1, 2, 3, 4, 5],
-            [0.4, 0.55, 0.62, 0.66, 0.69],
-            target_epochs=30,
-            profiled_fraction=0.1,
-            target_fraction=1.0,
-        )
-        assert 0.0 <= prediction <= 1.0
-
-    def test_prediction_at_least_last_observation(self):
-        observations = [0.4, 0.55, 0.62, 0.66, 0.69]
-        prediction = predict_final_accuracy(
-            [1, 2, 3, 4, 5], observations, target_epochs=30
-        )
-        assert prediction >= observations[-1] - 1e-6

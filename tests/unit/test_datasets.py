@@ -8,19 +8,16 @@ from repro.datasets import (
     AppearanceDrift,
     ClassDistributionDrift,
     ClassTaxonomy,
-    DEFAULT_CLASSES,
     DriftProfile,
     FeatureSpaceSpec,
     FeatureSynthesizer,
     GoldenModel,
     VideoStream,
-    class_balanced_sample,
     dataset_spec,
     holdout_split,
     make_stream,
     make_workload,
     mixed_workload,
-    uniform_sample,
 )
 from repro.exceptions import DatasetError
 
@@ -30,15 +27,6 @@ class TestClassTaxonomy:
         taxonomy = ClassTaxonomy()
         assert taxonomy.num_classes == 6
         assert "car" in taxonomy
-
-    def test_index_name_roundtrip(self):
-        taxonomy = ClassTaxonomy()
-        for name in DEFAULT_CLASSES:
-            assert taxonomy.name_of(taxonomy.index_of(name)) == name
-
-    def test_unknown_class_raises(self):
-        with pytest.raises(DatasetError):
-            ClassTaxonomy().index_of("spaceship")
 
     def test_duplicate_classes_raise(self):
         with pytest.raises(DatasetError):
@@ -173,11 +161,6 @@ class TestFeatureSynthesizer:
         with pytest.raises(DatasetError):
             synthesizer.class_centers(np.ones((2, 2)))
 
-    def test_bayes_error_reasonable(self):
-        synthesizer = FeatureSynthesizer(ClassTaxonomy(), seed=1)
-        error = synthesizer.bayes_error_estimate(num_samples=500)
-        assert 0.0 <= error <= 0.5
-
     def test_invalid_spec(self):
         with pytest.raises(DatasetError):
             FeatureSpaceSpec(feature_dim=1)
@@ -202,34 +185,11 @@ class TestGoldenModel:
         with pytest.raises(DatasetError):
             GoldenModel(error_rate=1.0)
 
-    def test_labeling_cost(self):
-        golden = GoldenModel(gpu_seconds_per_sample=0.1)
-        assert golden.labeling_cost(50) == pytest.approx(5.0)
-
-    def test_negative_cost_request_raises(self):
-        with pytest.raises(DatasetError):
-            GoldenModel().labeling_cost(-1)
-
 
 class TestSampling:
     def _data(self, n=60):
         rng = np.random.default_rng(0)
         return rng.normal(size=(n, 4)), rng.integers(0, 3, size=n)
-
-    def test_uniform_sample_size(self):
-        features, labels = self._data()
-        sampled_features, sampled_labels = uniform_sample(features, labels, 0.25, seed=1)
-        assert len(sampled_features) == len(sampled_labels) == 15
-
-    def test_uniform_sample_full_fraction(self):
-        features, labels = self._data()
-        sampled_features, _ = uniform_sample(features, labels, 1.0, seed=1)
-        assert len(sampled_features) == len(features)
-
-    def test_class_balanced_sample_covers_classes(self):
-        features, labels = self._data(200)
-        _, sampled_labels = class_balanced_sample(features, labels, 0.3, seed=1)
-        assert set(np.unique(sampled_labels)) == set(np.unique(labels))
 
     def test_holdout_split_disjoint_sizes(self):
         features, labels = self._data(80)
@@ -240,18 +200,18 @@ class TestSampling:
     def test_invalid_fraction_raises(self):
         features, labels = self._data()
         with pytest.raises(DatasetError):
-            uniform_sample(features, labels, 0.0)
+            holdout_split(features, labels, holdout_fraction=0.0)
 
     def test_empty_dataset_raises(self):
         with pytest.raises(DatasetError):
-            uniform_sample(np.empty((0, 3)), np.empty((0,)), 0.5)
+            holdout_split(np.empty((0, 3)), np.empty((0,)))
 
 
 class TestVideoStreamAndWindows:
     def test_window_data_shapes(self, small_stream):
         window = small_stream.window(0)
         assert window.num_train_samples == 120
-        assert window.num_eval_samples == 80
+        assert len(window.eval_labels) == 80
         assert window.train_features.shape[1] == small_stream.feature_dim
 
     def test_window_caching_returns_same_object(self, small_stream):
@@ -276,9 +236,6 @@ class TestVideoStreamAndWindows:
 
     def test_drift_magnitude_positive_across_windows(self, small_stream):
         assert small_stream.drift_magnitude(0, 5) > 0
-
-    def test_frames_per_window(self, small_stream):
-        assert small_stream.frames_per_window() == int(30 * 200)
 
     def test_deterministic_given_name_and_seed(self):
         profile = DriftProfile()

@@ -548,9 +548,6 @@ class TestAllocationLossExposure:
         for window in result.windows:
             assert window.allocation_loss >= 0.0
         assert result.mean_allocation_loss >= 0.0
-        assert result.total_allocation_loss == pytest.approx(
-            sum(w.allocation_loss for w in result.windows)
-        )
 
     def test_fleet_surfaces_allocation_loss(self):
         controller = _fleet(2, 2)

@@ -1,20 +1,15 @@
 """Unit tests for repro.utils.math_utils."""
 
-import numpy as np
 import pytest
 
 from repro.utils.math_utils import (
     clamp,
     euclidean_distance,
-    floor_to_multiple,
     is_pareto_dominated,
-    normalize_distribution,
     pareto_frontier,
     quantize_to_inverse_power_of_two,
-    round_to_multiple,
     safe_mean,
     time_weighted_average,
-    weighted_mean,
 )
 
 
@@ -42,17 +37,6 @@ class TestMeans:
 
     def test_safe_mean_values(self):
         assert safe_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_weighted_mean(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 3.0]) == pytest.approx(2.5)
-
-    def test_weighted_mean_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [1.0, 2.0])
-
-    def test_weighted_mean_zero_weights(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0, 2.0], [0.0, 0.0])
 
 
 class TestTimeWeightedAverage:
@@ -97,44 +81,12 @@ class TestPareto:
 
 
 class TestDistributions:
-    def test_normalize(self):
-        result = normalize_distribution([1.0, 1.0, 2.0])
-        assert result.sum() == pytest.approx(1.0)
-        assert result[2] == pytest.approx(0.5)
-
-    def test_normalize_zero_falls_back_to_uniform(self):
-        result = normalize_distribution([0.0, 0.0])
-        assert np.allclose(result, [0.5, 0.5])
-
-    def test_normalize_negative_raises(self):
-        with pytest.raises(ValueError):
-            normalize_distribution([-1.0, 2.0])
-
-    def test_normalize_empty_raises(self):
-        with pytest.raises(ValueError):
-            normalize_distribution([])
-
     def test_euclidean_distance(self):
         assert euclidean_distance([0, 0], [3, 4]) == pytest.approx(5.0)
 
     def test_euclidean_distance_mismatch(self):
         with pytest.raises(ValueError):
             euclidean_distance([1.0], [1.0, 2.0])
-
-
-class TestRounding:
-    def test_round_to_multiple(self):
-        assert round_to_multiple(0.34, 0.1) == pytest.approx(0.3)
-
-    def test_floor_to_multiple(self):
-        assert floor_to_multiple(0.39, 0.1) == pytest.approx(0.3)
-
-    def test_floor_exact_value_kept(self):
-        assert floor_to_multiple(0.4, 0.1) == pytest.approx(0.4)
-
-    def test_round_invalid_quantum(self):
-        with pytest.raises(ValueError):
-            round_to_multiple(0.5, 0.0)
 
 
 class TestQuantizeInversePowerOfTwo:

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.configs import RetrainingConfig
-from repro.exceptions import CheckpointError, ModelError
+from repro.exceptions import ModelError
 from repro.models import (
-    Checkpoint,
-    CheckpointManager,
     DenseLayer,
     EdgeModelSpec,
     ExemplarReplayLearner,
@@ -114,7 +112,8 @@ class TestMLPClassifier:
         model = MLPClassifier(2, 3, hidden_sizes=(16,), seed=0)
         features, labels = self._toy_problem(300)
         before = model.accuracy(features, labels)
-        model.fit(features, labels, epochs=20, batch_size=16)
+        for _ in range(20):
+            model.train_epoch(features, labels)
         after = model.accuracy(features, labels)
         assert after > before
         assert after > 0.85
@@ -122,7 +121,7 @@ class TestMLPClassifier:
     def test_loss_decreases_during_training(self):
         model = MLPClassifier(2, 3, hidden_sizes=(16,), seed=0)
         features, labels = self._toy_problem(300)
-        losses = model.fit(features, labels, epochs=10)
+        losses = [model.train_epoch(features, labels) for _ in range(10)]
         assert losses[-1] < losses[0]
 
     def test_freezing_all_but_head(self):
@@ -131,13 +130,6 @@ class TestMLPClassifier:
         assert trainable == 1
         assert model.layers[0].frozen and model.layers[1].frozen
         assert not model.layers[-1].frozen
-
-    def test_trainable_parameter_fraction(self):
-        model = MLPClassifier(4, 3, hidden_sizes=(8, 8), seed=0)
-        model.set_trainable_fraction(1.0)
-        assert model.trainable_parameter_fraction() == pytest.approx(1.0)
-        model.set_trainable_fraction(0.34)
-        assert model.trainable_parameter_fraction() < 1.0
 
     def test_invalid_fraction(self):
         model = MLPClassifier(4, 3, seed=0)
@@ -158,10 +150,12 @@ class TestMLPClassifier:
     def test_state_roundtrip_preserves_predictions(self):
         model = MLPClassifier(2, 3, hidden_sizes=(8,), seed=0)
         features, labels = self._toy_problem(100)
-        model.fit(features, labels, epochs=5)
+        for _ in range(5):
+            model.train_epoch(features, labels)
         state = model.get_state()
         reference = model.predict_proba(features)
-        model.fit(features, labels, epochs=5)
+        for _ in range(5):
+            model.train_epoch(features, labels)
         model.set_state(state)
         assert np.allclose(model.predict_proba(features), reference)
 
@@ -169,7 +163,8 @@ class TestMLPClassifier:
         model = MLPClassifier(2, 3, hidden_sizes=(8,), seed=0)
         features, labels = self._toy_problem(100)
         clone = model.clone()
-        model.fit(features, labels, epochs=5)
+        for _ in range(5):
+            model.train_epoch(features, labels)
         assert not np.allclose(
             clone.layers[0].weights, model.layers[0].weights
         )
@@ -268,13 +263,12 @@ class TestExemplarReplay:
         rng = np.random.default_rng(0)
         exemplars.update(rng.normal(size=(50, 4)), np.zeros(50, dtype=int))
         assert len(exemplars.features_by_class[0]) == 5
-        assert exemplars.num_exemplars == 5
 
     def test_exemplar_set_tracks_classes(self):
         exemplars = ExemplarSet.empty(3)
         rng = np.random.default_rng(0)
         exemplars.update(rng.normal(size=(20, 4)), rng.integers(0, 3, size=20))
-        assert set(exemplars.known_classes) <= {0, 1, 2}
+        assert set(exemplars.features_by_class) <= {0, 1, 2}
 
     def test_as_training_data_empty(self):
         features, labels = ExemplarSet.empty(3).as_training_data()
@@ -305,53 +299,3 @@ class TestExemplarReplay:
     def test_invalid_replay_weight(self, edge_model):
         with pytest.raises(ModelError):
             ExemplarReplayLearner(edge_model, replay_weight=1.0)
-
-
-class TestCheckpointManager:
-    def test_checkpoint_on_interval_only(self, edge_model):
-        manager = CheckpointManager(checkpoint_every_epochs=5)
-        assert manager.maybe_checkpoint(edge_model, epoch=3, validation_accuracy=0.5) is None
-        assert manager.maybe_checkpoint(edge_model, epoch=5, validation_accuracy=0.6) is not None
-        assert len(manager.checkpoints) == 1
-
-    def test_best_and_latest(self, edge_model):
-        manager = CheckpointManager(checkpoint_every_epochs=1)
-        manager.maybe_checkpoint(edge_model, epoch=1, validation_accuracy=0.5)
-        manager.maybe_checkpoint(edge_model, epoch=2, validation_accuracy=0.8)
-        manager.maybe_checkpoint(edge_model, epoch=3, validation_accuracy=0.6)
-        assert manager.best().validation_accuracy == pytest.approx(0.8)
-        assert manager.latest().epoch == 3
-
-    def test_restore_applies_state(self, edge_model):
-        manager = CheckpointManager(checkpoint_every_epochs=1)
-        manager.maybe_checkpoint(edge_model, epoch=1, validation_accuracy=0.5)
-        reference = [w.copy() for w, _ in edge_model.get_state()]
-        edge_model.layers[0].weights += 1.0
-        manager.restore(edge_model)
-        assert np.allclose(edge_model.layers[0].weights, reference[0])
-
-    def test_restore_without_checkpoints_raises(self, edge_model):
-        with pytest.raises(CheckpointError):
-            CheckpointManager().restore(edge_model)
-
-    def test_should_reload_logic(self, edge_model):
-        manager = CheckpointManager(checkpoint_every_epochs=1, disruption_seconds=5.0)
-        manager.maybe_checkpoint(edge_model, epoch=1, validation_accuracy=0.9)
-        assert manager.should_reload(current_accuracy=0.5, remaining_window_seconds=100.0)
-        assert not manager.should_reload(current_accuracy=0.95, remaining_window_seconds=100.0)
-        assert not manager.should_reload(current_accuracy=0.5, remaining_window_seconds=0.0)
-
-    def test_total_disruption_accounting(self, edge_model):
-        manager = CheckpointManager(checkpoint_every_epochs=1, disruption_seconds=2.0)
-        manager.maybe_checkpoint(edge_model, epoch=1, validation_accuracy=0.5)
-        manager.maybe_checkpoint(edge_model, epoch=2, validation_accuracy=0.6)
-        assert manager.total_disruption_seconds == pytest.approx(4.0)
-
-    def test_invalid_checkpoint_values(self, edge_model):
-        with pytest.raises(CheckpointError):
-            Checkpoint(epoch=-1, validation_accuracy=0.5, state=[])
-        with pytest.raises(CheckpointError):
-            CheckpointManager(checkpoint_every_epochs=0)
-        manager = CheckpointManager()
-        with pytest.raises(CheckpointError):
-            manager.maybe_checkpoint(edge_model, epoch=0, validation_accuracy=0.5)

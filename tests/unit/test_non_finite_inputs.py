@@ -44,7 +44,7 @@ def frozen_calendar(monkeypatch):
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
-@pytest.mark.parametrize("method", ["run_until", "run_for"])
+@pytest.mark.parametrize("method", ["run_until"])
 def test_run_horizons_must_be_finite(frozen_calendar, method, value):
     simulator = FleetSimulator(make_fleet(1, 1, seed=0))
     with pytest.raises(FleetError, match="finite"):

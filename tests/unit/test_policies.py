@@ -123,8 +123,9 @@ class TestNoRetrainingPolicy:
 class TestCloudRetrainingPolicy:
     def test_transfer_time_matches_paper_example(self, space, source):
         policy = CloudRetrainingPolicy(source, CELLULAR_4G, space)
-        # 160 Mb up at 5.1 Mbps + 398 Mb down at 17.5 Mbps ~= 54 s (+2 RTTs).
-        transfer = policy.transfer_seconds_per_stream(400.0)
+        # 160 Mb up at 5.1 Mbps + 398 Mb down at 17.5 Mbps ~= 54 s (+2 RTTs):
+        # a lone stream's model lands after one upload and one download.
+        transfer = policy.model_arrival_times(1, 400.0)[0]
         assert transfer == pytest.approx(160 / 5.1 + 398 / 17.5, abs=1.0)
 
     def test_no_edge_gpu_spent_on_retraining(self, streams, spec, space, source):

@@ -13,7 +13,6 @@ from repro.profiles import (
     TABLE1_A_MIN,
     TABLE1_NUM_GPUS,
     config_quality,
-    merge_profiles,
     table1_scenario,
 )
 
@@ -53,11 +52,6 @@ class TestStreamWindowProfile:
     def test_best_accuracy_and_gain(self):
         profile = _profile(start=0.6)
         assert profile.best_accuracy() == pytest.approx(0.85)
-        assert profile.max_accuracy_gain() == pytest.approx(0.25)
-
-    def test_gain_zero_when_start_above_best(self):
-        profile = _profile(start=0.95)
-        assert profile.max_accuracy_gain() == 0.0
 
     def test_estimate_lookup(self):
         profile = _profile()
@@ -65,25 +59,6 @@ class TestStreamWindowProfile:
         assert profile.estimate_for(config).gpu_seconds == pytest.approx(10.0)
         with pytest.raises(ProfilingError):
             profile.estimate_for(RetrainingConfig(epochs=99))
-
-    def test_pareto_configs_exclude_dominated(self):
-        profile = _profile()
-        pareto = profile.pareto_configs()
-        # (15 epochs, 55 GPUs, 0.65) is dominated by (5 epochs, 10 GPUs, 0.7).
-        assert RetrainingConfig(epochs=15) not in pareto
-        assert RetrainingConfig(epochs=5) in pareto
-        assert RetrainingConfig(epochs=30) in pareto
-
-    def test_with_noise_clamps(self):
-        profile = _profile()
-        noisy = profile.with_noise({RetrainingConfig(epochs=30): 0.5})
-        assert noisy.estimate_for(RetrainingConfig(epochs=30)).post_retraining_accuracy == 1.0
-        # Other estimates untouched.
-        assert noisy.estimate_for(RetrainingConfig(epochs=5)).post_retraining_accuracy == pytest.approx(0.7)
-
-    def test_merge_profiles_rejects_duplicates(self):
-        with pytest.raises(ProfilingError):
-            merge_profiles([_profile("a"), _profile("a")])
 
     def test_invalid_profile(self):
         with pytest.raises(ProfilingError):
@@ -324,14 +299,6 @@ class TestAnalyticDynamics:
         a = AnalyticDynamics(seed=9).start_accuracy(small_stream, 3)
         b = AnalyticDynamics(seed=9).start_accuracy(small_stream, 3)
         assert a == pytest.approx(b)
-
-    def test_invalid_parameters(self):
-        from repro.exceptions import SimulationError
-
-        with pytest.raises(SimulationError):
-            AnalyticDynamics(drift_sensitivity=-0.1)
-        with pytest.raises(SimulationError):
-            AnalyticDynamics(accuracy_floor=0.95, ceiling_base=0.9)
 
     @pytest.mark.parametrize("window", [-1, -5])
     @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from repro.exceptions import SimulationError
 from repro.profiles import AnalyticDynamics
 from repro.simulation import (
     Simulator,
-    accuracy_violations,
     build_policy,
     capacity,
     compare_to_baselines,
@@ -18,8 +17,6 @@ from repro.simulation import (
     gpus_needed_for_accuracy,
     make_setup,
     mean_accuracy,
-    resource_saving_factor,
-    retraining_fraction,
     run_experiment,
     scaling_factor,
 )
@@ -150,14 +147,6 @@ class TestMetrics:
         assert gpus_needed_for_accuracy(accuracy_by_gpus, 0.75) == 4
         assert gpus_needed_for_accuracy(accuracy_by_gpus, 0.95) is None
 
-    def test_resource_saving_factor(self):
-        ekya = {1: 0.7, 2: 0.75, 4: 0.8}
-        baseline = {1: 0.55, 2: 0.62, 4: 0.7, 8: 0.76}
-        assert resource_saving_factor(ekya, baseline, ekya_gpus=1) == pytest.approx(4.0)
-        assert resource_saving_factor(ekya, baseline, ekya_gpus=4) is None
-        with pytest.raises(SimulationError):
-            resource_saving_factor(ekya, baseline, ekya_gpus=16)
-
     def test_compare_to_baselines(self):
         comparison = compare_to_baselines(0.78, {"uniform": 0.6, "cloud": 0.68})
         assert comparison.best_baseline_name == "cloud"
@@ -167,13 +156,6 @@ class TestMetrics:
     def test_mean_accuracy_and_retraining_fraction(self):
         results = [_simulator(num_streams=2).run(2) for _ in range(2)]
         assert 0.0 < mean_accuracy(results) <= 1.0
-        assert 0.0 <= retraining_fraction(results[0]) <= 1.0
-
-    def test_accuracy_violations_listed(self):
-        result = _simulator(num_streams=8, num_gpus=1).run(2)
-        violations = accuracy_violations(result, a_min=0.99)
-        assert violations  # with an absurd threshold everything is a violation
-        assert all(len(item) == 3 for item in violations)
 
 
 class TestExperimentHarness:

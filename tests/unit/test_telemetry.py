@@ -209,9 +209,9 @@ class TestAdaptiveSampler:
     def test_unknown_stream_queries_raise(self):
         plane = TelemetryPlane()
         with pytest.raises(FleetError):
-            plane.stream_summary("nope")
+            plane.sampler.summary_of("nope")
         with pytest.raises(FleetError):
-            plane.stream_series("nope")
+            plane.sampler.series_of("nope")
 
 
 # ------------------------------------------------------------- stats packing

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.configs import RetrainingConfig
-from repro.utils.rng import ensure_rng, spawn_rng, stable_seed
-from repro.utils.serialization import dump_json, load_json, to_jsonable
+from repro.utils.rng import ensure_rng, stable_seed
+from repro.utils.serialization import to_jsonable
 
 
 class TestEnsureRng:
@@ -18,16 +18,6 @@ class TestEnsureRng:
 
     def test_none_gives_generator(self):
         assert isinstance(ensure_rng(None), np.random.Generator)
-
-    def test_spawn_rng_independent(self):
-        parent = ensure_rng(1)
-        child = spawn_rng(parent)
-        assert isinstance(child, np.random.Generator)
-        assert child is not parent
-
-    def test_spawn_requires_positive_jump(self):
-        with pytest.raises(ValueError):
-            spawn_rng(ensure_rng(1), jump=0)
 
 
 class TestStableSeed:
@@ -68,13 +58,3 @@ class TestToJsonable:
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):
             to_jsonable(object())
-
-
-class TestJsonRoundtrip:
-    def test_dump_and_load(self, tmp_path):
-        path = tmp_path / "nested" / "data.json"
-        original = {"config": RetrainingConfig(epochs=7), "values": np.linspace(0, 1, 3)}
-        dump_json(original, path)
-        loaded = load_json(path)
-        assert loaded["config"]["epochs"] == 7
-        assert loaded["values"] == [0.0, 0.5, 1.0]
